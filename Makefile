@@ -13,9 +13,9 @@ GO ?= go
 COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/shard/ ./internal/invariant/ ./internal/serve/
 COVER_FLOOR = 70
 
-.PHONY: ci vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
+.PHONY: ci vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench perfbench-check
 
-ci: vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery
+ci: vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +59,15 @@ ifeq ($(UPDATE),1)
 else
 	$(GO) test -run TestAllocGate .
 endif
+
+# The benchmark in perfbench/ is its own module (repro/perfbench, which
+# requires this one through a replace), so ./... never builds it: vet and
+# test it separately, with the module settings perfbench/run.sh uses, so a
+# root-module API change cannot silently break the benchmark.
+PERFBENCH_ENV = GOFLAGS= GOWORK=off GOPROXY=off
+
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet . && $(PERFBENCH_ENV) $(GO) test .
 
 # Empty-distribution regression smoke: drive the report CLI through the
 # committed zero-trip/zero-charge fixture with telemetry on. A median or

@@ -3,8 +3,9 @@ package fairmove
 // Hot-path benchmark set: the pinned micro/meso benchmarks behind
 // BENCH_hotpath.json and `make alloc-gate`. Each entry measures one layer of
 // the per-slot critical path — sequential stepping, sharded stepping, a
-// single observation build, single-row and batched network inference, and
-// the nearest-station lookup the matcher leans on.
+// single observation build, whole observed slots on the sharded engine,
+// single-row and batched network inference, and the nearest-station lookup
+// the matcher leans on.
 //
 // The set is pinned: names are stable identifiers recorded in
 // testdata/alloc_floors.json (allocs/op ceilings, enforced by TestAllocGate)
@@ -53,6 +54,9 @@ func hotpathSet(tb testing.TB) []hotBench {
 				env.Observe(id)
 			}
 		}},
+		{"core_observe_slot", func(b *testing.B) {
+			benchObserveSlots(b, shard.New(benchCity(b), sim.DefaultOptions(1), 1, 42))
+		}},
 		{"nn_forward1", func(b *testing.B) {
 			m, x := hotBenchNet()
 			b.ResetTimer()
@@ -78,6 +82,32 @@ func hotpathSet(tb testing.TB) []hotBench {
 				benchNeighborSink = stationLookup(idx, queries[i%len(queries)], sim.KStations)
 			}
 		}},
+	}
+}
+
+// benchObserveSlots reports ns per two observed slots on the sharded
+// engine: each iteration observes every vacant taxi, steps with everyone
+// staying, and does it again, so every op crosses two slot boundaries and
+// rebuilds the region context rows twice. Episode resets are excluded from
+// the timer; one warm-up slot sizes the observation buffers.
+func benchObserveSlots(b *testing.B, env sim.Environment) {
+	b.Helper()
+	slot := func() {
+		if env.Done() {
+			b.StopTimer()
+			env.Reset(42)
+			b.StartTimer()
+		}
+		for _, id := range env.VacantTaxis() {
+			env.Observe(id)
+		}
+		env.Step(nil)
+	}
+	slot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot()
+		slot()
 	}
 }
 

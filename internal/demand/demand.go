@@ -52,32 +52,20 @@ func (a Archetype) String() string {
 	}
 }
 
-// hourlyShape returns the demand multiplier curve of an archetype over 24
-// hours. Curves are normalized to mean 1 at construction time.
-func hourlyShape(a Archetype) [24]float64 {
-	switch a {
-	case Downtown:
-		// Strong morning and evening rush, busy evenings.
-		return [24]float64{0.3, 0.2, 0.15, 0.1, 0.15, 0.3, 0.8, 1.6, 2.0, 1.5, 1.2, 1.2, 1.3, 1.2, 1.1, 1.2, 1.5, 1.9, 2.1, 1.8, 1.5, 1.2, 0.8, 0.5}
-	case Residential:
-		// Morning outflow peak, evening return.
-		return [24]float64{0.3, 0.2, 0.1, 0.1, 0.2, 0.5, 1.4, 2.2, 1.8, 1.0, 0.8, 0.8, 0.9, 0.8, 0.8, 0.9, 1.1, 1.4, 1.7, 1.5, 1.2, 1.0, 0.7, 0.4}
-	case Suburb:
-		// Flat and thin.
-		return [24]float64{0.2, 0.15, 0.1, 0.1, 0.15, 0.3, 0.7, 1.1, 1.2, 1.0, 0.9, 0.9, 1.0, 0.9, 0.9, 0.9, 1.0, 1.2, 1.2, 1.0, 0.8, 0.6, 0.4, 0.3}
-	case Industrial:
-		// Shift-change spikes.
-		return [24]float64{0.2, 0.1, 0.1, 0.1, 0.2, 0.6, 1.5, 1.9, 1.3, 0.8, 0.7, 0.8, 1.1, 0.9, 0.7, 0.8, 1.2, 1.8, 1.5, 0.9, 0.6, 0.4, 0.3, 0.2}
-	case Airport:
-		// Busy through the day and late evening (arrivals).
-		return [24]float64{0.8, 0.5, 0.3, 0.3, 0.5, 0.9, 1.2, 1.4, 1.5, 1.4, 1.3, 1.3, 1.3, 1.3, 1.4, 1.4, 1.4, 1.5, 1.5, 1.5, 1.5, 1.4, 1.2, 1.0}
-	default:
-		var flat [24]float64
-		for i := range flat {
-			flat[i] = 1
-		}
-		return flat
-	}
+// hourlyShapes holds each archetype's demand multiplier curve over 24
+// hours. Rate indexes it in place; an archetype outside the table has a
+// flat curve of 1.
+var hourlyShapes = [numArchetypes][24]float64{
+	// Downtown: strong morning and evening rush, busy evenings.
+	Downtown: {0.3, 0.2, 0.15, 0.1, 0.15, 0.3, 0.8, 1.6, 2.0, 1.5, 1.2, 1.2, 1.3, 1.2, 1.1, 1.2, 1.5, 1.9, 2.1, 1.8, 1.5, 1.2, 0.8, 0.5},
+	// Residential: morning outflow peak, evening return.
+	Residential: {0.3, 0.2, 0.1, 0.1, 0.2, 0.5, 1.4, 2.2, 1.8, 1.0, 0.8, 0.8, 0.9, 0.8, 0.8, 0.9, 1.1, 1.4, 1.7, 1.5, 1.2, 1.0, 0.7, 0.4},
+	// Suburb: flat and thin.
+	Suburb: {0.2, 0.15, 0.1, 0.1, 0.15, 0.3, 0.7, 1.1, 1.2, 1.0, 0.9, 0.9, 1.0, 0.9, 0.9, 0.9, 1.0, 1.2, 1.2, 1.0, 0.8, 0.6, 0.4, 0.3},
+	// Industrial: shift-change spikes.
+	Industrial: {0.2, 0.1, 0.1, 0.1, 0.2, 0.6, 1.5, 1.9, 1.3, 0.8, 0.7, 0.8, 1.1, 0.9, 0.7, 0.8, 1.2, 1.8, 1.5, 0.9, 0.6, 0.4, 0.3, 0.2},
+	// Airport: busy through the day and late evening (arrivals).
+	Airport: {0.8, 0.5, 0.3, 0.3, 0.5, 0.9, 1.2, 1.4, 1.5, 1.4, 1.3, 1.3, 1.3, 1.3, 1.4, 1.4, 1.4, 1.5, 1.5, 1.5, 1.5, 1.4, 1.2, 1.0},
 }
 
 // baseIntensity returns the relative request volume of an archetype (mean
@@ -413,8 +401,11 @@ func (m *Model) Rate(region, tMin int) float64 {
 	if hour < 0 {
 		hour += 24
 	}
-	shape := hourlyShape(m.profiles[region].Archetype)
-	return m.Scale * m.profiles[region].BasePerHour * shape[hour] / 60
+	shape := 1.0
+	if a := m.profiles[region].Archetype; a >= 0 && a < numArchetypes {
+		shape = hourlyShapes[a][hour]
+	}
+	return m.Scale * m.profiles[region].BasePerHour * shape / 60
 }
 
 // ExpectedSlotDemand returns the expected number of requests in region over

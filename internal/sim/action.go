@@ -6,7 +6,12 @@
 // metric and figure in the evaluation.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/geo"
+	"repro/internal/synth"
+)
 
 // ActionKind is the paper's three displacement action types.
 type ActionKind int
@@ -80,4 +85,51 @@ func ActionFromIndex(idx int) Action {
 	default:
 		panic(fmt.Sprintf("sim: action index %d out of range", idx))
 	}
+}
+
+// regionMasks holds the three action masks a taxi in one region can have,
+// indexed by its charge need: maskFree (stay and moves), maskMayCharge
+// (stay, moves and charges, below AllowChargeSoC) and maskMustCharge
+// (charges only, below LowSoC). Moves exist only for real neighbors and
+// charges only for real nearby stations, so the masks are static per region
+// and ValidMask is a lookup.
+type regionMasks [3][NumActions]bool
+
+const (
+	maskFree = iota
+	maskMayCharge
+	maskMustCharge
+)
+
+// newRegionMasks builds every region's masks over the cached nearest
+// stations.
+func newRegionMasks(city *synth.City, nearStations [][]geo.Neighbor) []regionMasks {
+	ms := make([]regionMasks, len(nearStations))
+	for r := range ms {
+		nbs := city.Partition.Region(r).Neighbors
+		for _, m := range []int{maskFree, maskMayCharge} {
+			ms[r][m][0] = true
+			for i := 0; i < len(nbs) && i < MaxNeighbors; i++ {
+				ms[r][m][1+i] = true
+			}
+		}
+		for _, m := range []int{maskMayCharge, maskMustCharge} {
+			for k := 0; k < len(nearStations[r]) && k < KStations; k++ {
+				ms[r][m][1+MaxNeighbors+k] = true
+			}
+		}
+	}
+	return ms
+}
+
+// pick returns the mask for a taxi at soc: charging is forced below
+// LowSoC and offered below AllowChargeSoC.
+func (m *regionMasks) pick(soc float64, opts *Options) [NumActions]bool {
+	switch {
+	case soc < opts.LowSoC:
+		return m[maskMustCharge]
+	case soc < opts.AllowChargeSoC:
+		return m[maskMayCharge]
+	}
+	return m[maskFree]
 }

@@ -198,27 +198,26 @@ type Env struct {
 
 	// nearStations[region] caches the KStations nearest stations.
 	nearStations [][]geo.Neighbor
+	// masks[region] holds the region's static action masks (ValidMask).
+	masks []regionMasks
 
-	// per-slot caches. Each is keyed by the slot it was computed for and is
-	// invalidated (slot = -1) together with supplySlot at the end of Step and
-	// on Reset; between Steps the environment is static, so observation-time
-	// fleet scans need to run once per slot, not once per taxi.
-	supplySlot int // slot for which supply is valid
-	supply     []int
-	peSlot     int // slot for which peMean/peVar are valid
-	peMean     float64
-	peVar      float64
-	aggSlot    int // slot for which aggVacant/aggQueued are valid
-	aggVacant  int
-	aggQueued  int
+	// PE statistics cache, keyed by the slot it was computed for and
+	// invalidated (slot = -1) at the end of Step and on Reset; between Steps
+	// the environment is static, so the fleet scan runs once per slot, not
+	// once per taxi.
+	peSlot int // slot for which peMean/peVar are valid
+	peMean float64
+	peVar  float64
 
-	// Reusable hot-path scratch. obsBufs holds one feature buffer per taxi
-	// (Observation.Features borrows it — see Observe); vacantBuf backs
-	// VacantTaxis; reqBuf backs the slot's demand sample; fcCounts backs the
-	// predictor's per-region counts; regionCands backs matchRequests'
-	// per-region candidate buckets; pendSort is the persistent sorter for
-	// pending requests. None of these carry state across slots.
-	obsBufs     [][]float64
+	// obs holds the per-taxi feature buffers, the per-region context rows
+	// and the per-slot inputs they share, behind Observe (see observe.go).
+	obs obsState
+
+	// Reusable hot-path scratch. vacantBuf backs VacantTaxis; reqBuf backs
+	// the slot's demand sample; fcCounts backs the predictor's per-region
+	// counts; regionCands backs matchRequests' per-region candidate buckets;
+	// pendSort is the persistent sorter for pending requests. None of these
+	// carry state across slots.
 	vacantBuf   []int
 	reqBuf      []demand.Request
 	fcCounts    []float64
@@ -237,10 +236,6 @@ type Env struct {
 	// closedNow tracks each station's closure state so the perturbation
 	// sweep can emit outage transition events exactly once per edge.
 	closedNow []bool
-	// staleFeats caches each taxi's last fresh observation features for GPS
-	// dropout windows. Lazily allocated on first Observe under hooks.
-	staleFeats [][]float64
-
 	// predictor is the learned demand forecaster (when LearnedForecast).
 	predictor *forecast.Predictor
 
@@ -274,6 +269,7 @@ func New(city *synth.City, opts Options, seed int64) *Env {
 	for r := 0; r < n; r++ {
 		e.nearStations[r] = city.Stations.Nearest(city.Partition.Region(r).Centroid, KStations)
 	}
+	e.masks = newRegionMasks(city, e.nearStations)
 	e.Reset(seed)
 	return e
 }
@@ -302,15 +298,10 @@ func (e *Env) Reset(seed int64) {
 	for i := 0; i < e.city.Stations.Len(); i++ {
 		e.stations[i] = station.NewState(e.city.Stations.Station(i))
 	}
-	e.supplySlot = -1
 	e.peSlot = -1
-	e.aggSlot = -1
-	if len(e.obsBufs) != len(e.taxis) {
-		e.obsBufs = make([][]float64, len(e.taxis))
-	}
+	e.obs.reset()
 	e.pending = nil
 	e.closedNow = make([]bool, len(e.stations))
-	e.staleFeats = nil
 	e.applyBatteryFactors()
 	if e.opts.LearnedForecast {
 		p, err := forecast.New(e.city.Partition.Len(), e.city.SlotsPerDay())
@@ -383,44 +374,12 @@ func (e *Env) NearStations(region int) []geo.Neighbor { return e.nearStations[re
 // StationState returns the runtime state of a station (read-only use).
 func (e *Env) StationState(id int) *station.State { return e.stations[id] }
 
-// regionSupply returns per-region vacant-taxi counts, cached per slot.
-func (e *Env) regionSupply() []int {
-	slot := e.Slot()
-	if e.supplySlot == slot && e.supply != nil {
-		return e.supply
-	}
-	sup := make([]int, e.city.Partition.Len())
-	for i := range e.taxis {
-		if e.taxis[i].state == Cruising {
-			sup[e.taxis[i].region]++
-		}
-	}
-	e.supply = sup
-	e.supplySlot = slot
-	return sup
-}
-
 // ValidMask returns the action-validity mask for a taxi: charging is forced
 // below LowSoC, offered below AllowChargeSoC, and move actions exist only
 // for real neighbors.
 func (e *Env) ValidMask(id int) [NumActions]bool {
-	var mask [NumActions]bool
 	t := &e.taxis[id]
-	mustCharge := t.batt.SoC < e.opts.LowSoC
-	mayCharge := t.batt.SoC < e.opts.AllowChargeSoC
-	if !mustCharge {
-		mask[0] = true
-		nbs := e.city.Partition.Region(t.region).Neighbors
-		for i := 0; i < len(nbs) && i < MaxNeighbors; i++ {
-			mask[1+i] = true
-		}
-	}
-	if mustCharge || mayCharge {
-		for k := 0; k < len(e.nearStations[t.region]) && k < KStations; k++ {
-			mask[1+MaxNeighbors+k] = true
-		}
-	}
-	return mask
+	return e.masks[t.region].pick(t.batt.SoC, &e.opts)
 }
 
 // Step applies one displacement action per vacant taxi (missing entries
@@ -542,9 +501,7 @@ func (e *Env) Step(actions map[int]Action) {
 	if slotEnd == warmupEnd {
 		e.clearAccounting()
 	}
-	e.supplySlot = -1 // invalidate per-slot caches
-	e.peSlot = -1
-	e.aggSlot = -1
+	e.peSlot = -1 // invalidate the per-slot PE cache
 
 	if e.Done() {
 		e.finalize()

@@ -47,7 +47,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -193,6 +192,7 @@ type Core struct {
 	stationInfo []station.Station
 
 	nearStations [][]geo.Neighbor
+	masks        []regionMasks // per-region static action masks (ValidMask)
 
 	regionOwner []int // region ID -> kernel index (static)
 	taxiOwner   []int // taxi ID -> kernel index (updated at barriers)
@@ -207,30 +207,27 @@ type Core struct {
 	loads     []float64
 	closedNow []bool
 
-	hooks      Hooks
-	xh         ExtendedHooks
-	rec        Recorder
-	tel        simTel
-	predictor  *forecast.Predictor
-	staleFeats [][]float64
+	hooks     Hooks
+	xh        ExtendedHooks
+	rec       Recorder
+	tel       simTel
+	predictor *forecast.Predictor
 
 	res            Results
 	generated      int
 	invalidActions int
 	finalized      bool
 
-	// per-slot read caches (state mutates only inside Step, so anything
-	// keyed on the slot index stays valid between steps)
-	supplySlot int
-	supply     []int
-	aggSlot    int
-	aggValid   bool
-	aggVacant  int
-	aggQueued  int
-	peSlot     int
-	peValid    bool
-	peMean     float64
-	peVar      float64
+	// per-slot PE statistics cache (state mutates only inside Step, so
+	// anything keyed on the slot index stays valid between steps)
+	peSlot  int
+	peValid bool
+	peMean  float64
+	peVar   float64
+
+	// obs holds the per-taxi feature buffers, the per-region context rows
+	// and the per-slot inputs they share, behind Observe (see observe.go).
+	obs obsState
 
 	// merge scratch
 	mergeTrips   []TripStat
@@ -238,10 +235,8 @@ type Core struct {
 	mergeEvents  []trace.Event
 	keyBuf       []uint64
 
-	// Reusable hot-path scratch: per-taxi observation buffers (borrowed by
-	// Observation.Features, see Env.Observe for the ownership contract), the
-	// VacantTaxis result buffer, and RouteMigrants' gather slice.
-	obsBufs    [][]float64
+	// Reusable hot-path scratch: the VacantTaxis result buffer and
+	// RouteMigrants' gather slice.
 	vacantBuf  []int
 	migrantBuf []int
 
@@ -292,6 +287,7 @@ func NewCore(city *synth.City, opts Options, regionOwner []int, seed int64) *Cor
 	for r := 0; r < n; r++ {
 		c.nearStations[r] = city.Stations.Nearest(city.Partition.Region(r).Centroid, KStations)
 	}
+	c.masks = newRegionMasks(city, c.nearStations)
 	c.kernels = make([]*kernel, k)
 	for i := range c.kernels {
 		c.kernels[i] = &kernel{c: c, idx: i, cands: make(map[int][]int)}
@@ -348,7 +344,7 @@ func (c *Core) Reset(seed int64) {
 	c.stationInfo = c.city.Stations.Stations()
 	c.loads = make([]float64, nS)
 	c.closedNow = make([]bool, nS)
-	c.staleFeats = nil
+	c.obs.reset()
 	c.applyBatteryFactors()
 	if c.opts.LearnedForecast {
 		p, err := forecast.New(n, c.city.SlotsPerDay())
@@ -375,9 +371,6 @@ func (c *Core) Reset(seed int64) {
 	c.tripCount, c.chargeCount = 0, 0
 	c.tripArena = c.tripArena[:0]
 	c.chargeArena = c.chargeArena[:0]
-	if len(c.obsBufs) != len(c.taxis) {
-		c.obsBufs = make([][]float64, len(c.taxis))
-	}
 	c.generated = 0
 	c.invalidActions = 0
 	c.finalized = false
@@ -409,12 +402,6 @@ func (c *Core) Reset(seed int64) {
 		c.taxiOwner[i] = k
 		c.kernels[k].owned.add(i)
 	}
-	c.invalidateCaches()
-}
-
-func (c *Core) invalidateCaches() {
-	c.supplySlot = -1
-	c.aggValid = false
 	c.peValid = false
 }
 
@@ -578,151 +565,11 @@ func (c *Core) FleetPEStats() (mean, variance float64) {
 	return mean, variance
 }
 
-// fleetStateCounts returns the global vacant and queued/to-station counts,
-// cached per slot.
-func (c *Core) fleetStateCounts() (vacant, queued int) {
-	slot := c.Slot()
-	if c.aggValid && c.aggSlot == slot {
-		return c.aggVacant, c.aggQueued
-	}
-	for i := range c.taxis {
-		switch c.taxis[i].state {
-		case Cruising:
-			vacant++
-		case Queued, ToStation:
-			queued++
-		}
-	}
-	c.aggVacant, c.aggQueued, c.aggSlot, c.aggValid = vacant, queued, slot, true
-	return vacant, queued
-}
-
-// regionSupply returns per-region vacant-taxi counts, cached per slot.
-func (c *Core) regionSupply() []int {
-	slot := c.Slot()
-	if c.supplySlot == slot && c.supply != nil {
-		return c.supply
-	}
-	sup := make([]int, c.city.Partition.Len())
-	for i := range c.taxis {
-		if c.taxis[i].state == Cruising {
-			sup[c.taxis[i].region]++
-		}
-	}
-	c.supply = sup
-	c.supplySlot = slot
-	return sup
-}
-
-// ValidMask returns the action-validity mask for a taxi.
+// ValidMask returns the action-validity mask for a taxi (see
+// Env.ValidMask).
 func (c *Core) ValidMask(id int) [NumActions]bool {
-	var mask [NumActions]bool
 	t := &c.taxis[id]
-	mustCharge := t.batt.SoC < c.opts.LowSoC
-	mayCharge := t.batt.SoC < c.opts.AllowChargeSoC
-	if !mustCharge {
-		mask[0] = true
-		nbs := c.city.Partition.Region(t.region).Neighbors
-		for i := 0; i < len(nbs) && i < MaxNeighbors; i++ {
-			mask[1+i] = true
-		}
-	}
-	if mustCharge || mayCharge {
-		for k := 0; k < len(c.nearStations[t.region]) && k < KStations; k++ {
-			mask[1+MaxNeighbors+k] = true
-		}
-	}
-	return mask
-}
-
-// Observe builds the observation for a vacant taxi. The feature math is
-// identical to the sequential engine's; the fleet-wide aggregates come from
-// per-slot caches, which turns the sequential engine's O(fleet) work per
-// call into O(1) amortized.
-func (c *Core) Observe(id int) Observation {
-	t := &c.taxis[id]
-	f := c.obsBufs[id][:0]
-	now := c.nowMin
-	dayFrac := float64(now%(24*60)) / (24 * 60)
-
-	f = append(f, math.Sin(2*math.Pi*dayFrac), math.Cos(2*math.Pi*dayFrac))
-
-	meanPE, _ := c.FleetPEStats()
-	peGap := (c.PESoFar(id) - meanPE) / 50
-	vacancyAge := float64(now-t.vacantSinceMin) / 60
-	f = append(f, t.batt.SoC, clampF(peGap, -2, 2), clampF(vacancyAge, 0, 4))
-
-	supply := c.regionSupply()
-	f = c.appendRegionTriple(f, t.region, supply, now)
-
-	nbs := c.city.Partition.Region(t.region).Neighbors
-	for i := 0; i < MaxNeighbors; i++ {
-		if i < len(nbs) {
-			f = c.appendRegionTriple(f, nbs[i], supply, now)
-		} else {
-			f = append(f, 0, 0, 0)
-		}
-	}
-
-	ns := c.nearStations[t.region]
-	for k := 0; k < KStations; k++ {
-		if k < len(ns) {
-			st := c.stations[ns[k].Label]
-			f = append(f,
-				float64(st.Free())/20,
-				float64(st.QueueLen())/10,
-				ns[k].DistKm/10,
-				c.city.Tariff.Rate(c.city.Tariff.BandAt(now))/2,
-			)
-		} else {
-			f = append(f, 0, 0, 0, 0)
-		}
-	}
-
-	vacant, queued := c.fleetStateCounts()
-	n := float64(len(c.taxis))
-	band := float64(c.city.Tariff.BandAt(now)) / 2
-	f = append(f, float64(vacant)/n, float64(queued)/n, band)
-
-	if len(f) != FeatureSize {
-		panic("sim: feature size mismatch")
-	}
-
-	if c.hooks != nil {
-		if c.staleFeats == nil {
-			c.staleFeats = make([][]float64, len(c.taxis))
-		}
-		if c.hooks.ObsStale(t.region, now) {
-			c.tel.staleObs.Inc()
-			if cached := c.staleFeats[id]; cached != nil {
-				f = append(f[:0], cached...)
-			}
-		} else {
-			c.staleFeats[id] = append(c.staleFeats[id][:0], f...)
-		}
-	}
-	c.obsBufs[id] = f
-	return Observation{Features: f, Mask: c.ValidMask(id)}
-}
-
-// appendRegionTriple appends the (supply, forecast, fare) features of a
-// region to f.
-func (c *Core) appendRegionTriple(f []float64, region int, supply []int, now int) []float64 {
-	var fc float64
-	switch {
-	case c.opts.NoForecastFeature:
-		fc = 0
-	case c.predictor != nil:
-		fc = c.predictor.Predict(region, now/c.slotLen)
-	default:
-		fc = c.city.Demand.ExpectedSlotDemand(region, now, c.slotLen)
-	}
-	fare := c.city.Demand.ExpectedFare(region, hourAt(now))
-	return append(f,
-		float64(supply[region])/10,
-		fc/10,
-		fare/100,
-	)
+	return c.masks[t.region].pick(t.batt.SoC, &c.opts)
 }
 
 // SetHooks installs (or, with nil, removes) a perturbation engine.
@@ -1044,7 +891,7 @@ func (c *Core) FinishSlot() {
 	if slotEnd == warmupEnd {
 		c.clearAccounting()
 	}
-	c.invalidateCaches()
+	c.peValid = false // invalidate the per-slot PE cache
 	if c.Done() {
 		c.finalize()
 	}

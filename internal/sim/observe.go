@@ -1,6 +1,14 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/forecast"
+	"repro/internal/geo"
+	"repro/internal/station"
+	"repro/internal/synth"
+	"repro/internal/telemetry"
+)
 
 // Observation is the per-agent state of Section III-C: a local view (time
 // and location context) plus a global view (supply, charging availability,
@@ -12,7 +20,7 @@ type Observation struct {
 	Mask     [NumActions]bool
 }
 
-// Feature layout (see Observe). The width is fixed so one shared network
+// Feature layout (see buildRow). The width is fixed so one shared network
 // serves every agent, per the paper's centralized design.
 const (
 	featTime      = 2                // sin/cos of day fraction
@@ -26,6 +34,224 @@ const (
 	FeatureSize = featTime + featSelf + featOwnRegion + featNeighbors + featStations + featGlobal
 )
 
+// obsState is the observation storage both engines embed. Every feature
+// except the three self features is a pure function of the taxi's region
+// and the slot (the engine is static between Steps), so an observation is
+// built in two parts: the region's context row, computed at most once per
+// (region, slot) the first time a taxi there is observed, and the taxi's own
+// SoC, PE gap and vacancy age, written over the row's copy in the taxi's
+// buffer. Rows are keyed on a slot stamp, which Reset clears because slot
+// numbers repeat across episodes; Step does no eager work, so an engine
+// driven by a policy that never observes pays nothing.
+type obsState struct {
+	// bufs holds one feature buffer per taxi, cut from one slab on the first
+	// Observe. Observation.Features borrows bufs[id] (see Env.Observe).
+	bufs [][]float64
+	// stale caches each taxi's last fresh features for GPS dropout windows;
+	// allocated on the first Observe under hooks.
+	stale [][]float64
+
+	// rows holds region r's context row at [r*FeatureSize, (r+1)*FeatureSize),
+	// valid while stamp[r] equals the current slot + 1 (0 = never built).
+	// Rows are engine-owned and never handed out: Observe copies them.
+	rows  []float64
+	stamp []int
+
+	// Per-slot inputs the rows share, valid while slotStamp equals the
+	// current slot + 1: every region's (supply, forecast, fare) triple — a
+	// region appears in its own row and in each neighbor's — and the
+	// fleet-wide vacant and charge-bound totals. supply is the count buffer
+	// the triples are built from, zeroed and recounted each slot.
+	slotStamp      int
+	supply         []int
+	triples        []float64
+	vacant, queued int
+}
+
+// reset invalidates every per-slot row and input and drops the
+// stale-feature cache. Buffers are kept: the fleet and the partition are
+// fixed per city.
+func (o *obsState) reset() {
+	clear(o.stamp)
+	o.slotStamp = 0
+	o.stale = nil
+}
+
+// obsView is the engine state a region context row reads. Both engines
+// hold the same state under different owners; the view lets one
+// implementation serve both.
+type obsView struct {
+	city         *synth.City
+	noForecast   bool
+	predictor    *forecast.Predictor // nil unless Options.LearnedForecast
+	slotLen, now int
+	taxis        []taxi
+	stations     []*station.State
+	nearStations [][]geo.Neighbor
+	staleObs     *telemetry.Counter
+}
+
+// obsEngine is implemented by both engines: their state as an obsView
+// (read only when a row is rebuilt or a stale observation is served), plus
+// the per-slot PE statistics and the action mask each engine computes
+// itself.
+type obsEngine interface {
+	obsView() obsView
+	FleetPEStats() (mean, variance float64)
+	PESoFar(id int) float64
+	ValidMask(id int) [NumActions]bool
+}
+
+// observe is the one observation path behind Env.Observe and
+// Core.Observe: copy the region's context row into taxi id's buffer, write
+// the self features, then apply the GPS-dropout stale path.
+func (o *obsState) observe(eng obsEngine, t *taxi, id, now, slotLen int, hooks Hooks) Observation {
+	if stamp := now/slotLen + 1; o.stamp == nil || o.stamp[t.region] != stamp {
+		o.buildRow(eng, t.region, stamp)
+	}
+	f := append(o.bufs[id][:0], o.rows[t.region*FeatureSize:(t.region+1)*FeatureSize]...)
+
+	// Self.
+	meanPE, _ := eng.FleetPEStats()
+	peGap := (eng.PESoFar(id) - meanPE) / 50 // fairness signal
+	vacancyAge := float64(now-t.vacantSinceMin) / 60
+	f[featTime] = t.batt.SoC
+	f[featTime+1] = clampF(peGap, -2, 2)
+	f[featTime+2] = clampF(vacancyAge, 0, 4)
+
+	// GPS dropout: while the taxi's region is in a dropout window its
+	// features freeze at the last fresh observation — the policy decides on
+	// stale state. The action mask stays current: it encodes physical
+	// validity (battery, topology), not telemetry.
+	if hooks != nil {
+		if o.stale == nil {
+			o.stale = make([][]float64, len(o.bufs))
+		}
+		if hooks.ObsStale(t.region, now) {
+			eng.obsView().staleObs.Inc()
+			if cached := o.stale[id]; cached != nil {
+				f = append(f[:0], cached...)
+			}
+		} else {
+			o.stale[id] = append(o.stale[id][:0], f...)
+		}
+	}
+	o.bufs[id] = f
+	return Observation{Features: f, Mask: eng.ValidMask(id)}
+}
+
+// buildRow writes region r's context row for the slot stamped stamp: the
+// whole feature layout, with zeros at the self features observe fills in
+// per taxi.
+func (o *obsState) buildRow(eng obsEngine, r, stamp int) {
+	v := eng.obsView()
+	if o.bufs == nil {
+		o.alloc(len(v.taxis), v.city.Partition.Len())
+	}
+	if o.slotStamp != stamp {
+		o.refreshSlot(&v)
+		o.slotStamp = stamp
+	}
+	row := o.rows[r*FeatureSize : (r+1)*FeatureSize : (r+1)*FeatureSize]
+	f := row[:0]
+	now := v.now
+	dayFrac := float64(now%(24*60)) / (24 * 60)
+
+	// Time.
+	f = append(f, math.Sin(2*math.Pi*dayFrac), math.Cos(2*math.Pi*dayFrac))
+
+	// Self, written per taxi by observe.
+	f = append(f, 0, 0, 0)
+
+	// Own region triple.
+	f = append(f, o.triples[3*r:3*r+3]...)
+
+	// Neighbor triples, zero-padded to MaxNeighbors.
+	nbs := v.city.Partition.Region(r).Neighbors
+	for i := 0; i < MaxNeighbors; i++ {
+		if i < len(nbs) {
+			f = append(f, o.triples[3*nbs[i]:3*nbs[i]+3]...)
+		} else {
+			f = append(f, 0, 0, 0)
+		}
+	}
+
+	// Nearest stations.
+	ns := v.nearStations[r]
+	for k := 0; k < KStations; k++ {
+		if k < len(ns) {
+			st := v.stations[ns[k].Label]
+			f = append(f,
+				float64(st.Free())/20,
+				float64(st.QueueLen())/10,
+				ns[k].DistKm/10,
+				v.city.Tariff.Rate(v.city.Tariff.BandAt(now))/2,
+			)
+		} else {
+			f = append(f, 0, 0, 0, 0)
+		}
+	}
+
+	// Global aggregates.
+	n := float64(len(v.taxis))
+	band := float64(v.city.Tariff.BandAt(now)) / 2
+	f = append(f, float64(o.vacant)/n, float64(o.queued)/n, band)
+
+	if len(f) != FeatureSize {
+		panic("sim: feature size mismatch")
+	}
+	o.stamp[r] = stamp
+}
+
+// alloc sizes the per-taxi buffers (one slab, each buffer capped at
+// FeatureSize so no append can reach a neighbor's), the region rows and the
+// per-slot inputs.
+func (o *obsState) alloc(taxis, regions int) {
+	slab := make([]float64, taxis*FeatureSize)
+	o.bufs = make([][]float64, taxis)
+	for i := range o.bufs {
+		o.bufs[i] = slab[i*FeatureSize : i*FeatureSize : (i+1)*FeatureSize]
+	}
+	o.rows = make([]float64, regions*FeatureSize)
+	o.stamp = make([]int, regions)
+	o.supply = make([]int, regions)
+	o.triples = make([]float64, 3*regions)
+}
+
+// refreshSlot recounts the fleet into the reused supply buffer and
+// recomputes every region's (supply, forecast, fare) triple. The forecast
+// is the oracle expectation by default, the learned predictor under
+// Options.LearnedForecast, or zero under the ablation.
+func (o *obsState) refreshSlot(v *obsView) {
+	clear(o.supply)
+	o.vacant, o.queued = 0, 0
+	for i := range v.taxis {
+		switch v.taxis[i].state {
+		case Cruising:
+			o.supply[v.taxis[i].region]++
+			o.vacant++
+		case Queued, ToStation:
+			o.queued++
+		}
+	}
+	hour := hourAt(v.now)
+	for r, supply := range o.supply {
+		var forecast float64
+		switch {
+		case v.noForecast:
+			forecast = 0
+		case v.predictor != nil:
+			forecast = v.predictor.Predict(r, v.now/v.slotLen)
+		default:
+			forecast = v.city.Demand.ExpectedSlotDemand(r, v.now, v.slotLen)
+		}
+		fare := v.city.Demand.ExpectedFare(r, hour)
+		o.triples[3*r] = float64(supply) / 10
+		o.triples[3*r+1] = forecast / 10
+		o.triples[3*r+2] = fare / 100
+	}
+}
+
 // Observe builds the observation for a vacant taxi. It is deterministic
 // given the environment state.
 //
@@ -35,120 +261,41 @@ const (
 // in the same slot is safe; callers keeping features across Step (replay
 // buffers, demonstration logs) must copy them out.
 func (e *Env) Observe(id int) Observation {
-	t := &e.taxis[id]
-	f := e.obsBufs[id][:0]
-	now := e.nowMin
-	dayFrac := float64(now%(24*60)) / (24 * 60)
-
-	// Time.
-	f = append(f, math.Sin(2*math.Pi*dayFrac), math.Cos(2*math.Pi*dayFrac))
-
-	// Self.
-	meanPE, _ := e.FleetPEStats()
-	peGap := (e.PESoFar(id) - meanPE) / 50 // fairness signal
-	vacancyAge := float64(now-t.vacantSinceMin) / 60
-	f = append(f, t.batt.SoC, clampF(peGap, -2, 2), clampF(vacancyAge, 0, 4))
-
-	// Own region triple.
-	supply := e.regionSupply()
-	f = e.appendRegionTriple(f, t.region, supply, now)
-
-	// Neighbor triples, zero-padded to MaxNeighbors.
-	nbs := e.city.Partition.Region(t.region).Neighbors
-	for i := 0; i < MaxNeighbors; i++ {
-		if i < len(nbs) {
-			f = e.appendRegionTriple(f, nbs[i], supply, now)
-		} else {
-			f = append(f, 0, 0, 0)
-		}
-	}
-
-	// Nearest stations.
-	ns := e.nearStations[t.region]
-	for k := 0; k < KStations; k++ {
-		if k < len(ns) {
-			st := e.stations[ns[k].Label]
-			f = append(f,
-				float64(st.Free())/20,
-				float64(st.QueueLen())/10,
-				ns[k].DistKm/10,
-				e.city.Tariff.Rate(e.city.Tariff.BandAt(now))/2,
-			)
-		} else {
-			f = append(f, 0, 0, 0, 0)
-		}
-	}
-
-	// Global aggregates.
-	vacant, queued := e.fleetAggregates()
-	n := float64(len(e.taxis))
-	band := float64(e.city.Tariff.BandAt(now)) / 2
-	f = append(f, float64(vacant)/n, float64(queued)/n, band)
-
-	if len(f) != FeatureSize {
-		panic("sim: feature size mismatch")
-	}
-
-	// GPS dropout: while the taxi's region is in a dropout window its
-	// features freeze at the last fresh observation — the policy decides on
-	// stale state. The action mask stays current: it encodes physical
-	// validity (battery, topology), not telemetry.
-	if e.hooks != nil {
-		if e.staleFeats == nil {
-			e.staleFeats = make([][]float64, len(e.taxis))
-		}
-		if e.hooks.ObsStale(t.region, now) {
-			e.tel.staleObs.Inc()
-			if cached := e.staleFeats[id]; cached != nil {
-				f = append(f[:0], cached...)
-			}
-		} else {
-			e.staleFeats[id] = append(e.staleFeats[id][:0], f...)
-		}
-	}
-	e.obsBufs[id] = f
-	return Observation{Features: f, Mask: e.ValidMask(id)}
+	return e.obs.observe(e, &e.taxis[id], id, e.nowMin, e.slotLen, e.hooks)
 }
 
-// fleetAggregates returns the fleet-wide vacant and charge-bound counts
-// behind the global observation features, cached per slot (the fleet is
-// static between Steps).
-func (e *Env) fleetAggregates() (vacant, queued int) {
-	if slot := e.Slot(); e.aggSlot == slot {
-		return e.aggVacant, e.aggQueued
+func (e *Env) obsView() obsView {
+	return obsView{
+		city:         e.city,
+		noForecast:   e.opts.NoForecastFeature,
+		predictor:    e.predictor,
+		slotLen:      e.slotLen,
+		now:          e.nowMin,
+		taxis:        e.taxis,
+		stations:     e.stations,
+		nearStations: e.nearStations,
+		staleObs:     e.tel.staleObs,
 	}
-	for i := range e.taxis {
-		switch e.taxis[i].state {
-		case Cruising:
-			vacant++
-		case Queued, ToStation:
-			queued++
-		}
-	}
-	e.aggSlot, e.aggVacant, e.aggQueued = e.Slot(), vacant, queued
-	return vacant, queued
 }
 
-// appendRegionTriple appends the (supply, forecast, fare) features of a
-// region to f. The forecast is the oracle expectation by default, the
-// learned predictor under Options.LearnedForecast, or zero under the
-// ablation.
-func (e *Env) appendRegionTriple(f []float64, region int, supply []int, now int) []float64 {
-	var forecast float64
-	switch {
-	case e.opts.NoForecastFeature:
-		forecast = 0
-	case e.predictor != nil:
-		forecast = e.predictor.Predict(region, now/e.slotLen)
-	default:
-		forecast = e.city.Demand.ExpectedSlotDemand(region, now, e.slotLen)
+// Observe builds the observation for a vacant taxi with the same code
+// and borrow contract as Env.Observe.
+func (c *Core) Observe(id int) Observation {
+	return c.obs.observe(c, &c.taxis[id], id, c.nowMin, c.slotLen, c.hooks)
+}
+
+func (c *Core) obsView() obsView {
+	return obsView{
+		city:         c.city,
+		noForecast:   c.opts.NoForecastFeature,
+		predictor:    c.predictor,
+		slotLen:      c.slotLen,
+		now:          c.nowMin,
+		taxis:        c.taxis,
+		stations:     c.stations,
+		nearStations: c.nearStations,
+		staleObs:     c.tel.staleObs,
 	}
-	fare := e.city.Demand.ExpectedFare(region, e.hourAt(now))
-	return append(f,
-		float64(supply[region])/10,
-		forecast/10,
-		fare/100,
-	)
 }
 
 func clampF(v, lo, hi float64) float64 {
