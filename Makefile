@@ -7,10 +7,10 @@
 GO ?= go
 
 # Statement-coverage floor for the scenario engine, the trace codec, and
-# the sharded-engine driver — the packages whose tests ARE the regression
-# harness (golden digests, fuzz corpora, shard-invariance battery):
-# uncovered code there is unpinned behavior.
-COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/shard/ ./internal/invariant/ ./internal/serve/
+# the simulation engine with its shard assignment — the packages whose
+# tests ARE the regression harness (golden digests, fuzz corpora,
+# shard-invariance battery): uncovered code there is unpinned behavior.
+COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/shard/ ./internal/invariant/ ./internal/serve/
 COVER_FLOOR = 70
 
 .PHONY: ci vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench perfbench-check
@@ -111,9 +111,8 @@ soak:
 	$(GO) test -run TestServeSoak -soak-events 250000 -timeout 900s -count=1 ./internal/serve/
 
 # Property-based robustness battery: 64 random fault compositions from the
-# full scenario zoo, each run on the sequential engine and the sharded
-# engine at shards=1 and 4, every invariant checked, shard-ladder digests
-# byte-compared. Fixed seed, so the CI tier is deterministic.
+# full scenario zoo, each run at shards=1 and 4, every invariant checked,
+# shard-ladder digests byte-compared. Fixed seed, so the CI tier is deterministic.
 battery:
 	$(GO) test -short -run TestRobustnessBattery ./internal/invariant/
 
@@ -143,8 +142,8 @@ bench:
 shard-smoke:
 	$(GO) test -short -run 'TestShardSmoke|TestShardCountInvariance' ./internal/shard/ .
 
-# Re-measure slot-stepping throughput (legacy vs shard ladder, three
-# scales, best of three reps each) and rewrite BENCH_sharding.json. Not in
+# Re-measure slot-stepping throughput (the shard ladder, three scales,
+# best of three reps each) and rewrite BENCH_sharding.json. Not in
 # ci: the full tier steps the paper's 20,130-taxi fleet for ~2 minutes.
 bench-record:
 	$(GO) test -run TestRecordShardingBench -recordbench -timeout 1800s .

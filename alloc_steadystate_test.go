@@ -3,44 +3,33 @@ package fairmove
 import (
 	"testing"
 
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
 // TestSimStepZeroAllocSteadyState asserts the acceptance criterion of the
 // zero-allocation pass directly: once every reusable buffer has reached its
-// high-water mark, stepping either engine allocates nothing. Two full
-// warm-up episodes on the same seed reach the marks and prove Reset keeps
-// them (a Reset that dropped working storage would re-pay growth in the
-// measured episode).
+// high-water mark, stepping the single-shard engine allocates nothing. Two
+// full warm-up episodes on the same seed reach the marks and prove Reset
+// keeps them (a Reset that dropped working storage would re-pay growth in
+// the measured episode).
 func TestSimStepZeroAllocSteadyState(t *testing.T) {
-	city := benchCity(t)
-	engines := []struct {
-		name string
-		env  sim.Environment
-	}{
-		{"legacy", sim.New(city, sim.DefaultOptions(1), 42)},
-		{"sharded1", shard.New(city, sim.DefaultOptions(1), 1, 42)},
-	}
-	for _, tc := range engines {
-		t.Run(tc.name, func(t *testing.T) {
-			env := tc.env
-			for ep := 0; ep < 2; ep++ {
-				for !env.Done() {
-					env.Step(nil)
-				}
-				env.Reset(42)
-			}
-			const runs = 50
-			allocs := testing.AllocsPerRun(runs, func() {
-				if env.Done() {
-					t.Fatal("episode shorter than the measured run; shrink runs")
-				}
+	t.Run("sharded1", func(t *testing.T) {
+		env := sim.New(benchCity(t), sim.DefaultOptions(1), 1, 42)
+		for ep := 0; ep < 2; ep++ {
+			for !env.Done() {
 				env.Step(nil)
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state %s Step allocates %v/op, want 0", tc.name, allocs)
 			}
+			env.Reset(42)
+		}
+		const runs = 50
+		allocs := testing.AllocsPerRun(runs, func() {
+			if env.Done() {
+				t.Fatal("episode shorter than the measured run; shrink runs")
+			}
+			env.Step(nil)
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("steady-state Step allocates %v/op, want 0", allocs)
+		}
+	})
 }

@@ -2,8 +2,7 @@ package fairmove
 
 // Hot-path benchmark set: the pinned micro/meso benchmarks behind
 // BENCH_hotpath.json and `make alloc-gate`. Each entry measures one layer of
-// the per-slot critical path — sequential stepping, sharded stepping, a
-// single observation build, whole observed slots on the sharded engine,
+// the per-slot critical path — single-shard stepping, whole observed slots,
 // single-row and batched network inference, and the nearest-station lookup
 // the matcher leans on.
 //
@@ -21,7 +20,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -36,26 +34,11 @@ type hotBench struct {
 // station index).
 func hotpathSet(tb testing.TB) []hotBench {
 	return []hotBench{
-		{"sim_step_legacy", func(b *testing.B) {
-			benchStepSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), 42))
-		}},
 		{"sim_step_sharded1", func(b *testing.B) {
-			benchStepSlots(b, shard.New(benchCity(b), sim.DefaultOptions(1), 1, 42))
-		}},
-		{"env_observe", func(b *testing.B) {
-			env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)
-			ids := env.VacantTaxis()
-			if len(ids) == 0 {
-				b.Fatal("no vacant taxis at reset")
-			}
-			id := ids[0]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				env.Observe(id)
-			}
+			benchStepSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), 1, 42))
 		}},
 		{"core_observe_slot", func(b *testing.B) {
-			benchObserveSlots(b, shard.New(benchCity(b), sim.DefaultOptions(1), 1, 42))
+			benchObserveSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), 1, 42))
 		}},
 		{"nn_forward1", func(b *testing.B) {
 			m, x := hotBenchNet()

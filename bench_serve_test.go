@@ -30,7 +30,7 @@ import (
 // benchServer builds a started service over the -benchscale city.
 func benchServer(tb testing.TB, queueCap int) *serve.Server {
 	tb.Helper()
-	env := sim.New(benchCity(tb), sim.DefaultOptions(2), 42)
+	env := sim.New(benchCity(tb), sim.DefaultOptions(2), 1, 42)
 	srv, err := serve.New(serve.Config{
 		Env: env, Policy: policy.NewGroundTruth(), Seed: 42, QueueCap: queueCap,
 	})

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/invariant"
 	"repro/internal/report"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -204,20 +203,12 @@ func benchStepSlots(b *testing.B, env sim.Environment) {
 	}
 }
 
-// BenchmarkEngineStepLegacy is the pre-sharding baseline: the sequential
-// engine's per-minute fleet sweeps.
-func BenchmarkEngineStepLegacy(b *testing.B) {
-	benchStepSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), 42))
-}
-
-// BenchmarkEngineStepSharded steps the region-sharded engine across the
-// shard ladder. The shards=1 row isolates the event-calendar win over the
-// legacy sweep; higher counts add barrier overhead and (on multi-core
-// hosts) concurrency.
+// BenchmarkEngineStepSharded steps the engine across the shard ladder.
+// Higher counts add barrier overhead and (on multi-core hosts) concurrency.
 func BenchmarkEngineStepSharded(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			benchStepSlots(b, shard.New(benchCity(b), sim.DefaultOptions(1), k, 42))
+			benchStepSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), k, 42))
 		})
 	}
 }
@@ -256,8 +247,7 @@ var recordBench = flag.Bool("recordbench", false,
 	"re-measure the sharding benchmarks and rewrite BENCH_sharding.json (make bench-record)")
 
 type shardBenchEntry struct {
-	Engine    string  `json:"engine"` // "legacy" or "sharded"
-	Shards    int     `json:"shards,omitempty"`
+	Shards    int     `json:"shards"`
 	NsPerSlot float64 `json:"ns_per_slot"`
 	Slots     int     `json:"slots_timed"`
 }
@@ -267,7 +257,7 @@ type shardBenchScale struct {
 	Fleet          int               `json:"fleet"`
 	Regions        int               `json:"regions"`
 	Engines        []shardBenchEntry `json:"engines"`
-	SpeedupShards4 float64           `json:"speedup_shards4_vs_legacy"`
+	SpeedupShards4 float64           `json:"speedup_shards4_vs_shards1"`
 }
 
 type shardBenchFile struct {
@@ -276,8 +266,7 @@ type shardBenchFile struct {
 }
 
 // TestRecordShardingBench re-measures slot-stepping throughput for the
-// legacy engine and the sharded engine at shards 1, 2, 4, 8 across the
-// small/default/full scales, and rewrites BENCH_sharding.json. Guarded by
+// engine at shards 1, 2, 4, 8 across the small/default/full scales, and rewrites BENCH_sharding.json. Guarded by
 // -recordbench because the full tier steps the paper's 20,130-taxi fleet.
 func TestRecordShardingBench(t *testing.T) {
 	if !*recordBench {
@@ -297,8 +286,8 @@ func TestRecordShardingBench(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Best of three repetitions per engine: the recorder wants the
-		// engines' algorithmic cost, and on a shared host the minimum is a
+		// Best of three repetitions per shard count: the recorder wants the
+		// engine's algorithmic cost, and on a shared host the minimum is a
 		// far more stable estimator of that than any single run's mean.
 		measure := func(build func() sim.Environment) (float64, int) {
 			best, bestN := 0.0, 0
@@ -313,16 +302,16 @@ func TestRecordShardingBench(t *testing.T) {
 			return best, bestN
 		}
 		row := shardBenchScale{Scale: sc.name, Fleet: sc.cfg.Fleet, Regions: sc.cfg.Regions}
-		legacyNs, n := measure(func() sim.Environment { return sim.New(city, sim.DefaultOptions(1), 42) })
-		row.Engines = append(row.Engines, shardBenchEntry{Engine: "legacy", NsPerSlot: legacyNs, Slots: n})
-		t.Logf("%s: legacy %.0f ns/slot (%d slots)", sc.name, legacyNs, n)
+		var k1Ns float64
 		for _, k := range []int{1, 2, 4, 8} {
-			k := k
-			ns, n := measure(func() sim.Environment { return shard.New(city, sim.DefaultOptions(1), k, 42) })
-			row.Engines = append(row.Engines, shardBenchEntry{Engine: "sharded", Shards: k, NsPerSlot: ns, Slots: n})
-			t.Logf("%s: shards=%d %.0f ns/slot (%d slots, %.2fx vs legacy)", sc.name, k, ns, n, legacyNs/ns)
+			ns, n := measure(func() sim.Environment { return sim.New(city, sim.DefaultOptions(1), k, 42) })
+			row.Engines = append(row.Engines, shardBenchEntry{Shards: k, NsPerSlot: ns, Slots: n})
+			if k == 1 {
+				k1Ns = ns
+			}
+			t.Logf("%s: shards=%d %.0f ns/slot (%d slots, %.2fx vs shards=1)", sc.name, k, ns, n, k1Ns/ns)
 			if k == 4 && ns > 0 {
-				row.SpeedupShards4 = legacyNs / ns
+				row.SpeedupShards4 = k1Ns / ns
 			}
 		}
 		out.Scales = append(out.Scales, row)
@@ -342,13 +331,13 @@ func TestRecordShardingBench(t *testing.T) {
 type batteryBenchFile struct {
 	Command      string  `json:"command"`
 	Compositions int     `json:"compositions"`
-	Runs         int     `json:"runs"` // compositions × engines
+	Runs         int     `json:"runs"` // compositions × shard counts
 	WallSeconds  float64 `json:"wall_seconds_best_of_3"`
 	PerRunMs     float64 `json:"ms_per_run"`
 }
 
 // TestRecordBatteryBench re-measures the robustness battery's wall clock at
-// its CI size (N=64 compositions × 3 engine runs each), best of three, and
+// its CI size (N=64 compositions × 2 shard counts each), best of three, and
 // rewrites BENCH_battery.json. The battery must also pass while timed — a
 // fast but failing battery is not a benchmark.
 func TestRecordBatteryBench(t *testing.T) {

@@ -76,7 +76,7 @@ func run(out string, seed int64, days, fleet, regions, stations int) error {
 		return err
 	}
 
-	env := sim.New(city, sim.DefaultOptions(days), seed)
+	env := sim.New(city, sim.DefaultOptions(days), 1, seed)
 	gt := policy.NewGroundTruth()
 	gt.BeginEpisode(seed)
 	jitter := rng.SplitStable(seed, "gps-jitter")

@@ -273,7 +273,7 @@ func TestBaselineCheckpointResumeDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	evalPEPF := func(d *policy.DQN) (float64, float64, int) {
-		env := sim.New(city, sim.DefaultOptions(1), seed)
+		env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 		res := policy.Evaluate(d, env, seed+1000)
 		return metrics.FleetPE(res), metrics.ProfitFairness(res), res.ServedRequests
 	}
@@ -312,7 +312,7 @@ func TestBaselineCheckpointResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardCountInvariance pins the sharded engine's contract at the system
+// TestShardCountInvariance pins the engine's shard contract at the system
 // level: a full train-and-evaluate pipeline configured with Shards=1, 2, 4,
 // and 8 must produce byte-identical trained-policy checkpoints, identical
 // evaluation trace digests, identical deterministic telemetry counters, and

@@ -26,7 +26,7 @@ func main() {
 	}
 	opts := sim.DefaultOptions(2)
 	opts.WarmupDays = 1
-	env := sim.New(city, opts, 5)
+	env := sim.New(city, opts, 1, 5)
 
 	show := func(name string, p policy.Policy) {
 		res := policy.Evaluate(p, env, 5)

@@ -29,7 +29,7 @@ func main() {
 	opts := sim.DefaultOptions(1)
 
 	// Find the busiest station in a healthy baseline run.
-	env := sim.New(city, opts, 6)
+	env := sim.New(city, opts, 1, 6)
 	base := policy.Evaluate(policy.NewGroundTruth(), env, 6)
 	counts := map[int]int{}
 	for _, ev := range base.ChargeStats {

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -29,7 +28,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/scenario"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -84,12 +82,11 @@ type Config struct {
 	// results for the same seed — parallelism only changes wall-clock.
 	Workers int
 
-	// Shards, when positive, runs every simulation (training and
-	// evaluation) on the region-sharded engine with that many shards.
-	// Results are invariant in the shard count — Shards=1 and Shards=8
-	// produce byte-identical trajectories — but the sharded engine is a
-	// different (faster) engine than the sequential default, so Shards=0
-	// (legacy) and Shards>0 trajectories differ. See DESIGN.md §Sharding.
+	// Shards is the number of region shards every simulation (training
+	// and evaluation) runs on; the engine advances shards concurrently
+	// within a slot. Results are invariant in the shard count — Shards=1
+	// and Shards=8 produce byte-identical trajectories — so it only changes
+	// wall-clock. Default 1. See DESIGN.md §7.
 	Shards int
 }
 
@@ -165,6 +162,9 @@ func (c *Config) fillDefaults() {
 	if c.TrainDays == 0 {
 		c.TrainDays = 1
 	}
+	if c.Shards == 0 {
+		c.Shards = 1
+	}
 }
 
 // System is a constructed scenario plus its (possibly trained) policies.
@@ -217,9 +217,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fairmove: %w", err)
 	}
-	if cfg.Shards > 0 {
-		fm.SetEnvBuilder(shard.Builder(cfg.Shards))
-	}
+	fm.SetShards(cfg.Shards)
 	return &System{
 		cfg:     cfg,
 		city:    city,
@@ -246,9 +244,8 @@ func (s *System) EvalSeed() int64 { return s.cfg.Seed + 1000 }
 // evaluation environment runs.
 func (s *System) EvalOptions() sim.Options { return s.evalOptions() }
 
-// EvalEnv builds a fresh evaluation environment — sequential or sharded per
-// Config.Shards, with the installed scenario, telemetry, and recorder
-// attached. Each call returns an independent environment; the caller owns
+// EvalEnv builds a fresh evaluation environment — Config.Shards shards, with
+// the installed scenario, telemetry, and recorder attached. Each call returns an independent environment; the caller owns
 // stepping it.
 func (s *System) EvalEnv() sim.Environment { return s.newEvalEnv() }
 
@@ -268,7 +265,7 @@ func (s *System) LoadPolicyInto(path string) (policy.Policy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fairmove: %w", err)
 	}
-	fm.SetEnvBuilder(s.envBuilder())
+	fm.SetShards(s.cfg.Shards)
 	fm.SetTelemetry(s.tel)
 	if _, err := checkpoint.ReadFile(path, fm); err != nil {
 		return nil, fmt.Errorf("fairmove: %w", err)
@@ -303,20 +300,10 @@ func (s *System) SetTelemetry(r *telemetry.Registry) {
 	s.fm.SetTelemetry(r)
 }
 
-// envBuilder returns the engine selector for this system: nil (the
-// sequential default) unless Config.Shards asks for the region-sharded
-// engine. Trainers resolve nil via sim.BuildEnv.
-func (s *System) envBuilder() sim.EnvBuilder {
-	if s.cfg.Shards > 0 {
-		return shard.Builder(s.cfg.Shards)
-	}
-	return nil
-}
-
-// newEvalEnv builds an evaluation environment — sequential or sharded per
-// Config.Shards — with the installed scenario (if any) attached.
+// newEvalEnv builds an evaluation environment with the installed scenario
+// (if any) attached.
 func (s *System) newEvalEnv() sim.Environment {
-	env := sim.BuildEnv(s.envBuilder(), s.city, s.evalOptions(), s.cfg.Seed)
+	env := sim.New(s.city, s.evalOptions(), s.cfg.Shards, s.cfg.Seed)
 	if s.scn != nil {
 		// Validated in SetScenario; Attach re-checks against the same city.
 		if _, err := scenario.Attach(env, s.scn); err != nil {
@@ -331,8 +318,8 @@ func (s *System) newEvalEnv() sim.Environment {
 // SetRecorder installs (or, with nil, removes) a trace recorder that every
 // subsequent evaluation environment emits its events into. Like telemetry it
 // is write-only: recording cannot perturb a trajectory. Recorders see the
-// canonical event order whatever the engine, so digests taken here are the
-// cross-engine and cross-shard comparison point.
+// canonical event order at any shard count, so digests taken here are the
+// cross-shard comparison point.
 func (s *System) SetRecorder(r sim.Recorder) { s.rec = r }
 
 // TrainReport summarizes FairMove training.
@@ -449,14 +436,14 @@ func (s *System) policyFor(m Method) (policy.Policy, error) {
 		p = policy.NewSD2()
 	case TQL:
 		q := policy.NewTQL(s.cfg.Alpha)
-		q.Env = s.envBuilder()
+		q.Shards = s.cfg.Shards
 		q.SetTelemetry(s.tel)
 		q.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 		q.Train(s.city, s.cfg.TrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 		p = q
 	case DQN:
 		d := policy.NewDQN(s.cfg.Alpha, s.cfg.Seed)
-		d.Env = s.envBuilder()
+		d.Shards = s.cfg.Shards
 		d.Workers = s.cfg.Workers
 		d.SetTelemetry(s.tel)
 		d.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
@@ -464,7 +451,7 @@ func (s *System) policyFor(m Method) (policy.Policy, error) {
 		p = d
 	case TBA:
 		b := policy.NewTBA(s.cfg.Seed)
-		b.Env = s.envBuilder()
+		b.Shards = s.cfg.Shards
 		b.Workers = s.cfg.Workers
 		b.SetTelemetry(s.tel)
 		b.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
@@ -633,7 +620,7 @@ func (s *System) AlphaSweep(alphas []float64) (sortedAlphas, rewards []float64, 
 			if err != nil {
 				return 0, err
 			}
-			fm.SetEnvBuilder(s.envBuilder())
+			fm.SetShards(s.cfg.Shards)
 			fm.Pretrain(s.city, policy.NewCoordinator(), s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 			st := fm.Train(s.city, s.cfg.TrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 			if len(st.MeanReward) == 0 {
@@ -645,20 +632,4 @@ func (s *System) AlphaSweep(alphas []float64) (sortedAlphas, rewards []float64, 
 		return nil, nil, err
 	}
 	return sortedAlphas, rewards, nil
-}
-
-// SaveModel writes the trained FairMove networks.
-func (s *System) SaveModel(w io.Writer) error { return s.fm.Save(w) }
-
-// LoadModel replaces the FairMove policy with networks written by SaveModel.
-func (s *System) LoadModel(r io.Reader) error {
-	fm, err := core.Load(r, core.DefaultConfig(s.cfg.Alpha, s.cfg.Seed))
-	if err != nil {
-		return err
-	}
-	fm.SetEnvBuilder(s.envBuilder())
-	fm.SetTelemetry(s.tel)
-	s.fm = fm
-	s.trained[FairMove] = fm
-	return nil
 }

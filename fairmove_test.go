@@ -1,8 +1,9 @@
 package fairmove
 
 import (
-	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -154,7 +155,7 @@ func TestAlphaSweep(t *testing.T) {
 	}
 }
 
-func TestSaveLoadModel(t *testing.T) {
+func TestSaveLoadPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full training pipeline; determinism_test.go covers the short tier")
 	}
@@ -163,15 +164,16 @@ func TestSaveLoadModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Train()
-	var buf bytes.Buffer
-	if err := s.SaveModel(&buf); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fm.fmck")
+	if err := s.SavePolicy(path); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := NewSystem(tinyConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.LoadModel(&buf); err != nil {
+	if err := s2.LoadPolicy(path); err != nil {
 		t.Fatal(err)
 	}
 	a, err := s.Evaluate(FairMove)
@@ -183,9 +185,13 @@ func TestSaveLoadModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.MeanPE != b.MeanPE || a.ServedRequests != b.ServedRequests {
-		t.Fatalf("loaded model evaluates differently: %+v vs %+v", a, b)
+		t.Fatalf("loaded policy evaluates differently: %+v vs %+v", a, b)
 	}
-	if err := s2.LoadModel(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage model accepted")
+	junk := filepath.Join(dir, "junk.fmck")
+	if err := os.WriteFile(junk, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.LoadPolicy(junk); err == nil {
+		t.Fatal("garbage policy accepted")
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"repro/internal/nn"
 )
 
-// Shared encoders for the neural-network state every learner carries. The
-// layer encoding mirrors nn's gob snapshot (shape, activation, weights,
-// biases) but through the deterministic codec, and decoding re-runs the same
-// shape validation as nn.Load: a checkpoint is untrusted input.
+// Shared encoders for the neural-network state every learner carries. A
+// layer is encoded as nn.LayerData (shape, activation, weights, biases)
+// through the deterministic codec, and decoding hands the layers to nn.Load,
+// which validates them: a checkpoint is untrusted input.
 //
 // Container version 2 switched the weight and moment payloads from float64
 // to float32, matching the nn backend's storage: the file holds the exact
@@ -40,32 +40,20 @@ func DecodeMLP(d *Decoder) (*nn.MLP, error) {
 	if !ok {
 		return nil, d.Err()
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("checkpoint: empty network")
-	}
-	m := &nn.MLP{}
-	for i := 0; i < n; i++ {
-		in, out := d.Int(), d.Int()
-		act := nn.Activation(d.U8())
-		w := d.Floats32()
-		b := d.Floats32()
+	layers := make([]nn.LayerData, n)
+	for i := range layers {
+		l := &layers[i]
+		l.In, l.Out = d.Int(), d.Int()
+		l.Act = nn.Activation(d.U8())
+		l.W = d.Floats32()
+		l.B = d.Floats32()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		if in <= 0 || out <= 0 || len(w) != in*out || len(b) != out {
-			return nil, fmt.Errorf("checkpoint: layer %d malformed: shape %dx%d with %d weights, %d biases", i, out, in, len(w), len(b))
-		}
-		if act < nn.Identity || act > nn.Tanh {
-			return nil, fmt.Errorf("checkpoint: layer %d has unknown activation code %d", i, int(act))
-		}
-		if i > 0 && in != m.Layers[i-1].Out {
-			return nil, fmt.Errorf("checkpoint: layer %d input width %d does not chain from previous output %d", i, in, m.Layers[i-1].Out)
-		}
-		m.Layers = append(m.Layers, &nn.Dense{
-			In: in, Out: out, Act: act,
-			W: nn.FromSlice(out, in, w), B: b,
-			GradW: nn.NewMat(out, in), GradB: make([]float32, out),
-		})
+	}
+	m, err := nn.Load(layers)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return m, nil
 }

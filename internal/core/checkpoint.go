@@ -20,7 +20,13 @@ func (f *FairMove) CheckpointKind() string { return "cma2c" }
 
 // CheckpointFingerprint implements checkpoint.Checkpointer. It covers every
 // Config field that shapes the serialized state or the training trajectory;
-// Workers is excluded because any value produces byte-identical results.
+// Workers and the shard count are excluded because any value produces
+// byte-identical results. Unlike the baseline learners it carries no
+// sim.EngineTag: its string is unchanged since policy files were first
+// written, so every existing .fmck — including the policy digest the
+// benchmark in perfbench/ pins — keeps loading. The price is that a
+// CMA2C training checkpoint from the retired sequential engine is not
+// told apart from one written by this engine.
 func (f *FairMove) CheckpointFingerprint() uint64 {
 	c := f.cfg
 	return checkpoint.Fingerprint(fmt.Sprintf(

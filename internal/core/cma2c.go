@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/checkpoint"
@@ -101,9 +100,9 @@ type FairMove struct {
 	epDone     int
 	fineTuning bool
 
-	// env builds the training environments; nil means the sequential
-	// engine. Set with SetEnvBuilder.
-	env sim.EnvBuilder
+	// shards is the engine shard count training runs on (0 means 1). Set
+	// with SetShards.
+	shards int
 
 	// Update-step scratch (DESIGN.md §9): batch matrices and per-row softmax
 	// buffers owned by the learner and reused across minibatch updates, so
@@ -124,10 +123,9 @@ type FairMove struct {
 	tel coreTel
 }
 
-// SetEnvBuilder installs the environment builder training uses (nil restores
-// the sequential engine). The facade sets shard.Builder(k) here when the
-// system is configured to run region-sharded.
-func (f *FairMove) SetEnvBuilder(b sim.EnvBuilder) { f.env = b }
+// SetShards sets the engine shard count training runs on (0 means 1). It
+// changes wall-clock only: trajectories are byte-identical for any count.
+func (f *FairMove) SetShards(k int) { f.shards = k }
 
 // New creates an untrained FairMove system.
 func New(cfg Config) (*FairMove, error) {
@@ -238,7 +236,7 @@ func (f *FairMove) Train(city *synth.City, episodes, days int, seed int64) Train
 // learner state is written crash-safely into opts.Dir.
 func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
 	stats := TrainStats{Episodes: episodes}
-	env := sim.BuildEnv(f.env, city, sim.DefaultOptions(days), seed)
+	env := sim.New(city, sim.DefaultOptions(days), f.shards, seed)
 
 	// When a warm start is present, fine-tuning polishes rather than
 	// re-learns: the actor steps an order of magnitude smaller so the noisy
@@ -357,7 +355,7 @@ func (f *FairMove) Pretrain(city *synth.City, guide policy.Policy, episodes, day
 func (f *FairMove) PretrainCheckpointed(city *synth.City, guide policy.Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
 	f.tel.phase.Set(0)
 	from := f.demoDone
-	bufs := policy.CollectDemosFrom(f.env, city, guide, from, episodes, days, seed, f.cfg.Workers, f.cfg.Alpha, f.cfg.Gamma)
+	bufs := policy.CollectDemosFrom(f.shards, city, guide, from, episodes, days, seed, f.cfg.Workers, f.cfg.Alpha, f.cfg.Gamma)
 	for i, buf := range bufs {
 		ep := from + i
 		f.tel.demoEpisodes.Inc()
@@ -553,40 +551,3 @@ func (f *FairMove) Value(obs sim.Observation) float64 { return value(f.critic, o
 
 // Probs exposes the policy distribution (diagnostics, tests).
 func (f *FairMove) Probs(obs sim.Observation) []float64 { return f.probs(obs) }
-
-// Save writes both networks.
-func (f *FairMove) Save(w io.Writer) error {
-	if err := f.actor.Save(w); err != nil {
-		return fmt.Errorf("core: save actor: %w", err)
-	}
-	if err := f.critic.Save(w); err != nil {
-		return fmt.Errorf("core: save critic: %w", err)
-	}
-	return nil
-}
-
-// Load reads networks written by Save into a system configured with cfg.
-func Load(r io.Reader, cfg Config) (*FairMove, error) {
-	f, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	actor, err := nn.Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load actor: %w", err)
-	}
-	critic, err := nn.Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load critic: %w", err)
-	}
-	if actor.InputSize() != sim.FeatureSize || actor.OutputSize() != sim.NumActions {
-		return nil, fmt.Errorf("core: loaded actor has wrong shape %dx%d", actor.InputSize(), actor.OutputSize())
-	}
-	if critic.InputSize() != sim.FeatureSize || critic.OutputSize() != 1 {
-		return nil, fmt.Errorf("core: loaded critic has wrong shape %dx%d", critic.InputSize(), critic.OutputSize())
-	}
-	f.actor = actor
-	f.critic = critic
-	f.targetCritic = critic.Clone()
-	return f, nil
-}

@@ -38,7 +38,7 @@ func TestRewardTelescopesToEpisodeObjective(t *testing.T) {
 		}
 
 		// Pass 1: RunEpisode accumulates each taxi's transition rewards.
-		env := sim.New(city, opts, seed)
+		env := sim.New(city, opts, 1, seed)
 		got := make(map[int]float64)
 		policy.RunEpisode(env,
 			func(id int, obs sim.Observation) int { return firstValid(obs.Mask) },
@@ -48,7 +48,7 @@ func TestRewardTelescopesToEpisodeObjective(t *testing.T) {
 
 		// Pass 2: manual replay, tracking PF before each taxi's first
 		// decision and summing slot PE from then on.
-		env2 := sim.New(city, opts, seed)
+		env2 := sim.New(city, opts, 1, seed)
 		slotHours := float64(env2.SlotLen()) / 60
 		peSum := make(map[int]float64)
 		pfAtOpen := make(map[int]float64)

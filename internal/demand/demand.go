@@ -135,16 +135,13 @@ type Model struct {
 	// uses it to match demand to fleet size.
 	Scale float64
 
-	// destWeights[o] caches gravity weights from origin o to every region.
-	destWeights [][]float64
-	// destAlias[o] caches the alias table of destWeights[o] for the O(1)
-	// destination draw used by SampleRegionScaledFast.
+	// destAlias[o] caches the alias table of the gravity weights from
+	// origin o to every region, for the O(1) destination draw.
 	destAlias []rng.Alias
-	// tris[o] caches region o's triangle fan for O(1) point placement on
-	// the fast sampling path.
+	// tris[o] caches region o's triangle fan for O(1) point placement.
 	tris []regionTris
-	// cosMidLat caches the cosine of the city's mid latitude for the fast
-	// path's equirectangular trip distances.
+	// cosMidLat caches the cosine of the city's mid latitude for
+	// equirectangular trip distances.
 	cosMidLat float64
 	// meanDistKm[o] caches the gravity-weighted mean haversine trip
 	// distance from origin o, used for fast expected-fare queries.
@@ -266,7 +263,6 @@ func New(part *partition.Partition, profiles []RegionProfile, fares pricing.Fare
 // excluding the origin itself for all but a small self-loop weight.
 func (m *Model) buildGravity() {
 	n := m.part.Len()
-	m.destWeights = make([][]float64, n)
 	m.destAlias = make([]rng.Alias, n)
 	m.meanDistKm = make([]float64, n)
 	for o := 0; o < n; o++ {
@@ -282,7 +278,6 @@ func (m *Model) buildGravity() {
 			wSum += w
 			wdSum += w * dist
 		}
-		m.destWeights[o] = ws
 		m.destAlias[o] = rng.NewAlias(ws)
 		if wSum > 0 {
 			m.meanDistKm[o] = wdSum / wSum
@@ -303,8 +298,7 @@ type regionTris struct {
 // buildTris fans every region polygon from its first vertex. The partition's
 // regions are convex (jittered grid quads), so the fan tiles each polygon
 // exactly and picking a triangle by area then a uniform point inside it is a
-// uniform draw over the region — the O(1) replacement for the fast path's
-// rejection sampling.
+// uniform draw over the region with no rejection loop.
 func (m *Model) buildTris() {
 	n := m.part.Len()
 	m.tris = make([]regionTris, n)
@@ -337,13 +331,11 @@ func (m *Model) buildTris() {
 	}
 }
 
-// randPointInFast places a uniform point in region via its triangle fan
-// with exactly two uniform draws and no rejection loop: the first draw
-// picks the triangle by area, and its position within the chosen area
-// segment — uniform conditional on the pick — is rescaled into the first
-// barycentric coordinate. Used only on the fast sampling path; the draw
-// count and therefore the stream differ from randPointIn.
-func (m *Model) randPointInFast(src *rng.Source, region int) geo.Point {
+// randPointIn places a uniform point in region via its triangle fan with
+// exactly two uniform draws: the first draw picks the triangle by area, and
+// its position within the chosen area segment — uniform conditional on the
+// pick — is rescaled into the first barycentric coordinate.
+func (m *Model) randPointIn(src *rng.Source, region int) geo.Point {
 	tr := &m.tris[region]
 	if tr.total <= 0 {
 		return m.part.Region(region).Centroid
@@ -432,76 +424,18 @@ func (m *Model) TotalExpectedPerDay() float64 {
 	return sum
 }
 
-// randPointIn returns a point near the centroid of region, inside its
-// polygon when possible.
-func (m *Model) randPointIn(src *rng.Source, region int) geo.Point {
-	r := m.part.Region(region)
-	bb := r.Polygon.BBox()
-	for try := 0; try < 8; try++ {
-		p := geo.Point{
-			Lng: src.Uniform(bb.MinLng, bb.MaxLng),
-			Lat: src.Uniform(bb.MinLat, bb.MaxLat),
-		}
-		if r.Polygon.Contains(p) {
-			return p
-		}
-	}
-	return r.Centroid
-}
-
-// Sample generates the requests arriving in [tMin, tMin+slotMin) using src.
-// Request times are uniform within the slot.
-func (m *Model) Sample(src *rng.Source, tMin, slotMin int) []Request {
-	return m.SampleScaled(src, tMin, slotMin, nil)
-}
-
-// ScaleFunc returns a region's demand-rate multiplier for a slot: 1 leaves
-// the region unperturbed, >1 is a surge, <1 a drought, 0 silences it.
-// Scenario engines use it to perturb demand without touching the model.
-type ScaleFunc func(region int) float64
-
-// SampleScaled is Sample with a per-region rate multiplier applied to the
-// expected slot demand before the Poisson draw. A nil scale, or one that
-// returns 1 everywhere, consumes exactly the same random stream as Sample,
-// so unperturbed regions see an identical realization.
-func (m *Model) SampleScaled(src *rng.Source, tMin, slotMin int, scale ScaleFunc) []Request {
-	var out []Request
-	n := m.part.Len()
-	for region := 0; region < n; region++ {
-		factor := 1.0
-		if scale != nil {
-			factor = scale(region)
-		}
-		out = m.SampleRegionScaled(out, src, region, tMin, slotMin, factor)
-	}
-	return out
-}
-
-// SampleRegionScaled appends the slot's requests for a single region to dst,
-// drawing only from src: one Poisson count draw, then per request one
-// arrival-offset draw plus the trip draws. Looping it over all regions with
-// one source is exactly SampleScaled; a sharded engine instead calls it with
-// one source per region, which makes the realization independent of how
-// regions are grouped. factor scales the expected demand (1 = unperturbed,
-// <= 0 silences the region without skipping the count draw).
+// SampleRegionScaled appends the requests arriving in region during
+// [tMin, tMin+slotMin) to dst, drawing only from src: one Poisson count
+// draw, then per request one uniform arrival-offset draw plus the trip
+// draws. The engine calls it with one source per region, which makes the
+// realization independent of how regions are grouped. factor scales the
+// expected demand (1 = unperturbed, <= 0 silences the region without
+// skipping the count draw).
+//
+// Every request costs O(1): the destination comes from a gravity alias
+// table, the endpoints from the regions' triangle fans, and the trip
+// distance from an equirectangular approximation.
 func (m *Model) SampleRegionScaled(dst []Request, src *rng.Source, region, tMin, slotMin int, factor float64) []Request {
-	return m.sampleRegion(dst, src, region, tMin, slotMin, factor, false)
-}
-
-// SampleRegionScaledFast is SampleRegionScaled on O(1)-per-request cached
-// machinery: destinations come from a gravity alias table, points from the
-// region's triangle fan, and trip distances from the equirectangular
-// approximation. It draws from the same per-region stream but consumes a
-// different number of draws per request, so realizations are not
-// byte-identical to the linear form — same marginal distributions, different
-// sample path. The legacy engine keeps SampleRegionScaled (its golden traces
-// are pinned); the sharded engine uses this everywhere, at every shard
-// count, so shard invariance is unaffected.
-func (m *Model) SampleRegionScaledFast(dst []Request, src *rng.Source, region, tMin, slotMin int, factor float64) []Request {
-	return m.sampleRegion(dst, src, region, tMin, slotMin, factor, true)
-}
-
-func (m *Model) sampleRegion(dst []Request, src *rng.Source, region, tMin, slotMin int, factor float64, fast bool) []Request {
 	mean := m.ExpectedSlotDemand(region, tMin, slotMin)
 	if factor > 0 {
 		mean *= factor
@@ -510,7 +444,7 @@ func (m *Model) sampleRegion(dst []Request, src *rng.Source, region, tMin, slotM
 	}
 	count := src.Poisson(mean)
 	for i := 0; i < count; i++ {
-		dst = append(dst, m.sampleOne(src, region, tMin+src.Intn(maxInt(slotMin, 1)), fast))
+		dst = append(dst, m.sampleOne(src, region, tMin+src.Intn(maxInt(slotMin, 1))))
 	}
 	return dst
 }
@@ -522,27 +456,22 @@ func maxInt(a, b int) int {
 	return b
 }
 
-func (m *Model) sampleOne(src *rng.Source, origin, tMin int, fast bool) Request {
-	var dest int
-	var op, dp geo.Point
-	var distKm float64
-	if fast {
-		dest = src.AliasChoice(m.destAlias[origin])
-		op = m.randPointInFast(src, origin)
-		dp = m.randPointInFast(src, dest)
-		// Equirectangular distance with the city-wide cached cosine: at
-		// intra-city extents it matches the haversine to well under 0.1%,
-		// far inside RoadFactor's fudge.
-		const degToRad = math.Pi / 180
-		dLat := (dp.Lat - op.Lat) * degToRad
-		dLng := (dp.Lng - op.Lng) * degToRad * m.cosMidLat
-		distKm = geo.EarthRadiusKm * math.Sqrt(dLat*dLat+dLng*dLng) * RoadFactor
-	} else {
-		dest = src.WeightedChoice(m.destWeights[origin])
-		op = m.randPointIn(src, origin)
-		dp = m.randPointIn(src, dest)
-		distKm = geo.Distance(op, dp) * RoadFactor
-	}
+func (m *Model) sampleOne(src *rng.Source, origin, tMin int) Request {
+	dest := src.AliasChoice(m.destAlias[origin])
+	op := m.randPointIn(src, origin)
+	dp := m.randPointIn(src, dest)
+	// Equirectangular distance with the city-wide cached cosine: at
+	// intra-city extents it matches the haversine to well under 0.1%, far
+	// inside RoadFactor's fudge.
+	const degToRad = math.Pi / 180
+	dLat := (dp.Lat - op.Lat) * degToRad
+	dLng := (dp.Lng - op.Lng) * degToRad * m.cosMidLat
+	distKm := geo.EarthRadiusKm * math.Sqrt(dLat*dLat+dLng*dLng) * RoadFactor
+	return m.trip(src, origin, dest, op, dp, distKm, tMin)
+}
+
+// trip prices and times a drawn origin-destination pair as a request.
+func (m *Model) trip(src *rng.Source, origin, dest int, op, dp geo.Point, distKm float64, tMin int) Request {
 	if distKm < 0.5 {
 		distKm = 0.5 + src.Uniform(0, 1.0) // minimum meaningful trip
 	}
@@ -566,7 +495,7 @@ func (m *Model) sampleOne(src *rng.Source, origin, tMin int, fast bool) Request 
 // SampleTripFrom generates a single request originating in region at tMin.
 // The simulator uses it when a matched passenger's trip needs materializing.
 func (m *Model) SampleTripFrom(src *rng.Source, region, tMin int) Request {
-	return m.sampleOne(src, region, tMin, false)
+	return m.sampleOne(src, region, tMin)
 }
 
 // MeanFare estimates the mean per-trip fare from region at the given hour by
@@ -577,7 +506,7 @@ func (m *Model) MeanFare(src *rng.Source, region, hour, samples int) float64 {
 	}
 	var sum float64
 	for i := 0; i < samples; i++ {
-		sum += m.sampleOne(src, region, hour*60, false).Fare
+		sum += m.sampleOne(src, region, hour*60).Fare
 	}
 	return sum / float64(samples)
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// The fast sampling path (alias destinations, triangle-fan points,
-// equirectangular distances) powers the sharded engine. Contract: points
-// land inside their region, distances track the haversine, and the fast and
-// linear samplers agree in distribution even though their sample paths
-// differ.
+// The sampler's O(1) machinery (alias destinations, triangle-fan points,
+// equirectangular distances). Contract: points land inside their region,
+// distances track the haversine, and the sampler agrees in distribution
+// with linearSampleRegion, the straightforward linear-time reference below,
+// even though their sample paths differ.
 
 func TestRandPointInFastStaysInsideRegion(t *testing.T) {
 	m := testModel(t)
@@ -20,7 +20,7 @@ func TestRandPointInFastStaysInsideRegion(t *testing.T) {
 	for r := 0; r < m.part.Len(); r += 7 {
 		poly := m.part.Region(r).Polygon
 		for i := 0; i < 200; i++ {
-			p := m.randPointInFast(src, r)
+			p := m.randPointIn(src, r)
 			if !poly.Contains(p) {
 				t.Fatalf("region %d: fast point %v outside polygon", r, p)
 			}
@@ -39,7 +39,7 @@ func TestRandPointInFastCoversTriangles(t *testing.T) {
 	}
 	hit := make([]int, len(tr.cum))
 	for i := 0; i < 2000; i++ {
-		p := m.randPointInFast(src, 0)
+		p := m.randPointIn(src, 0)
 		// Classify by which side of the fan diagonal (apex, c[0]) p falls.
 		a, c := tr.apex, tr.c[0]
 		cross := (c.Lng-a.Lng)*(p.Lat-a.Lat) - (p.Lng-a.Lng)*(c.Lat-a.Lat)
@@ -60,8 +60,8 @@ func TestEquirectangularTracksHaversine(t *testing.T) {
 	m := testModel(t)
 	src := rng.New(17)
 	for i := 0; i < 500; i++ {
-		p := m.randPointInFast(src, src.Intn(m.part.Len()))
-		q := m.randPointInFast(src, src.Intn(m.part.Len()))
+		p := m.randPointIn(src, src.Intn(m.part.Len()))
+		q := m.randPointIn(src, src.Intn(m.part.Len()))
 		want := geo.Distance(p, q)
 		got := geo.DistanceApprox(p, q)
 		if want > 0.1 && math.Abs(got-want)/want > 0.001 {
@@ -77,10 +77,10 @@ func TestFastAndLinearSamplersAgreeInDistribution(t *testing.T) {
 	var fast, slow []Request
 	fs, ss := rng.New(4), rng.New(5)
 	for len(fast) < n {
-		fast = m.SampleRegionScaledFast(fast, fs, origin, 480, 10, 25)
+		fast = m.SampleRegionScaled(fast, fs, origin, 480, 10, 25)
 	}
 	for len(slow) < n {
-		slow = m.SampleRegionScaled(slow, ss, origin, 480, 10, 25)
+		slow = linearSampleRegion(m, slow, ss, origin, 480, 10, 25)
 	}
 	mean := func(rs []Request) (dist, fare float64) {
 		for _, r := range rs {
@@ -114,4 +114,47 @@ func TestFastAndLinearSamplersAgreeInDistribution(t *testing.T) {
 	if tv /= 2; tv > 0.15 {
 		t.Fatalf("destination distributions diverge: TV distance %.3f", tv)
 	}
+}
+
+// linearSampleRegion is the reference sampler the O(1) path replaced: the
+// same Poisson count and arrival draws, then a linear-scan weighted choice
+// over freshly computed gravity weights, rejection-sampled points within
+// each region's bounding box (centroid after eight misses), and haversine
+// trip distances.
+func linearSampleRegion(m *Model, dst []Request, src *rng.Source, region, tMin, slotMin int, factor float64) []Request {
+	mean := m.ExpectedSlotDemand(region, tMin, slotMin)
+	if factor > 0 {
+		mean *= factor
+	} else {
+		mean = 0
+	}
+	n := m.part.Len()
+	ws := make([]float64, n)
+	for d := 0; d < n; d++ {
+		dist := m.part.Distance(region, d)
+		ws[d] = m.profiles[d].Attractiveness / (1 + 0.05*dist*dist)
+		if d == region {
+			ws[d] *= 0.1
+		}
+	}
+	point := func(r int) geo.Point {
+		reg := m.part.Region(r)
+		bb := reg.Polygon.BBox()
+		for try := 0; try < 8; try++ {
+			p := geo.Point{Lng: src.Uniform(bb.MinLng, bb.MaxLng), Lat: src.Uniform(bb.MinLat, bb.MaxLat)}
+			if reg.Polygon.Contains(p) {
+				return p
+			}
+		}
+		return reg.Centroid
+	}
+	count := src.Poisson(mean)
+	for i := 0; i < count; i++ {
+		at := tMin + src.Intn(maxInt(slotMin, 1))
+		dest := src.WeightedChoice(ws)
+		op := point(region)
+		dp := point(dest)
+		dst = append(dst, m.trip(src, region, dest, op, dp, geo.Distance(op, dp)*RoadFactor, at))
+	}
+	return dst
 }

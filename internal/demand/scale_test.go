@@ -2,17 +2,33 @@ package demand
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/rng"
 )
 
+// sampleCity draws one slot of citywide demand the way the engine does: the
+// per-region sampler over every region, each on its own stream split from
+// seed. A nil scale leaves every region unperturbed.
+func sampleCity(m *Model, seed int64, tMin, slotMin int, scale func(region int) float64) []Request {
+	var out []Request
+	for r := 0; r < m.part.Len(); r++ {
+		f := 1.0
+		if scale != nil {
+			f = scale(r)
+		}
+		out = m.SampleRegionScaled(out, rng.SplitStable(seed, "region-"+strconv.Itoa(r)), r, tMin, slotMin, f)
+	}
+	return out
+}
+
 // A nil scale and an all-ones scale must consume the identical random stream:
 // unperturbed scenarios replay the exact baseline demand realization.
 func TestSampleScaledIdentityMatchesSample(t *testing.T) {
 	m := testModel(t)
-	a := m.Sample(rng.New(7), 8*60, 10)
-	b := m.SampleScaled(rng.New(7), 8*60, 10, func(int) float64 { return 1 })
+	a := sampleCity(m, 7, 8*60, 10, nil)
+	b := sampleCity(m, 7, 8*60, 10, func(int) float64 { return 1 })
 	if !reflect.DeepEqual(stripIDs(a), stripIDs(b)) {
 		t.Fatalf("identity scale diverged: %d vs %d requests", len(a), len(b))
 	}
@@ -23,9 +39,9 @@ func TestSampleScaledSurgeAndDrought(t *testing.T) {
 	var base, surged, silenced int
 	for day := 0; day < 5; day++ {
 		tMin := day*1440 + 8*60
-		base += len(m.Sample(rng.New(int64(day)), tMin, 10))
-		surged += len(m.SampleScaled(rng.New(int64(day)), tMin, 10, func(int) float64 { return 3 }))
-		silenced += len(m.SampleScaled(rng.New(int64(day)), tMin, 10, func(int) float64 { return 0 }))
+		base += len(sampleCity(m, int64(day), tMin, 10, nil))
+		surged += len(sampleCity(m, int64(day), tMin, 10, func(int) float64 { return 3 }))
+		silenced += len(sampleCity(m, int64(day), tMin, 10, func(int) float64 { return 0 }))
 	}
 	if surged <= base {
 		t.Fatalf("3x surge produced %d requests vs %d baseline", surged, base)
@@ -38,7 +54,7 @@ func TestSampleScaledSurgeAndDrought(t *testing.T) {
 func TestSampleScaledRegionScoped(t *testing.T) {
 	m := testModel(t)
 	// Silence every region but 0: all requests must originate there.
-	reqs := m.SampleScaled(rng.New(3), 18*60, 60, func(r int) float64 {
+	reqs := sampleCity(m, 3, 18*60, 60, func(r int) float64 {
 		if r == 0 {
 			return 5
 		}
@@ -57,7 +73,7 @@ func TestSampleScaledRegionScoped(t *testing.T) {
 // Negative factors are treated as silence, not amplification.
 func TestSampleScaledNegativeFactorSilences(t *testing.T) {
 	m := testModel(t)
-	if got := m.SampleScaled(rng.New(4), 12*60, 60, func(int) float64 { return -2 }); len(got) != 0 {
+	if got := sampleCity(m, 4, 12*60, 60, func(int) float64 { return -2 }); len(got) != 0 {
 		t.Fatalf("negative scale produced %d requests", len(got))
 	}
 }

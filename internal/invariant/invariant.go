@@ -1,8 +1,7 @@
 // Package invariant is a reusable invariant-checking engine for simulator
-// runs. A Checker wraps any sim.Environment — the sequential reference
-// engine and the sharded engine alike — and verifies, during and after a
-// run, the physical laws the simulator must never break no matter which
-// scenario is attached:
+// runs. A Checker wraps the engine (sim.Core), at any shard count, and
+// verifies, during and after a run, the physical laws the simulator must
+// never break no matter which scenario is attached:
 //
 //   - no taxi's state of charge leaves [0, 1], and no taxi strands
 //   - every taxi is always inside the region partition
@@ -13,10 +12,8 @@
 //   - the engine's own structural invariants (ownership partition,
 //     occupancy state) hold after every step
 //
-// The station checks replay the structured event log through a shadow
-// model, so they work identically on the causally-ordered stream of the
-// sequential engine and the canonically-sorted stream of the sharded one.
-// The checker is read-only: attaching it never perturbs a run, so a
+// The station checks replay the engine's canonically-sorted event log
+// through a shadow model. The checker is read-only: attaching it never perturbs a run, so a
 // checked run digests byte-identically to an unchecked one.
 package invariant
 
@@ -34,11 +31,11 @@ import (
 // checks (energy, requests) additionally require Options.WarmupDays == 0
 // on the environment, because warmup resets the accounting mid-run.
 type Options struct {
-	// Energy enables the per-step energy-conservation check. Requires an
-	// environment with a TaxiEnergyLedger surface and WarmupDays == 0.
+	// Energy enables the per-step energy-conservation check. Requires
+	// WarmupDays == 0.
 	Energy bool
-	// Requests enables the request-conservation check. Requires an
-	// environment with a GeneratedRequests surface and WarmupDays == 0.
+	// Requests enables the request-conservation check. Requires
+	// WarmupDays == 0.
 	Requests bool
 	// Stranding treats any stranded minute as a violation. Leave false for
 	// scenarios severe enough that stranding is the expected outcome.
@@ -71,23 +68,11 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s @%d: %s", v.Name, v.Minute, v.Detail)
 }
 
-// The optional verification surfaces both engines expose (env_debug.go,
-// kernel_debug.go). The checker probes for them with type assertions so it
-// can still wrap a minimal Environment, silently skipping what is absent.
-type structuralChecker interface{ CheckInvariants() error }
-
-type requestLedger interface {
-	GeneratedRequests() int
-	PendingRequests() int
-}
-
-type energyLedger interface{ TaxiEnergyLedger(id int) sim.EnergyLedger }
-
 // Checker verifies one run of one environment. Use it once: New, Begin
 // after Reset, Observe every trace event, AfterStep after every Step, and
 // Finish at the horizon.
 type Checker struct {
-	env  sim.Environment
+	env  *sim.Core
 	opts Options
 
 	fleet   int
@@ -101,7 +86,7 @@ type Checker struct {
 
 // New wraps env in a fresh checker. Call Begin after env.Reset and before
 // the first Step.
-func New(env sim.Environment, opts Options) *Checker {
+func New(env *sim.Core, opts Options) *Checker {
 	if opts.SoCEps <= 0 {
 		opts.SoCEps = 1e-9
 	}
@@ -137,12 +122,9 @@ func (c *Checker) Observe(ev trace.Event) {
 // Begin captures the initial energy state. Call it after env.Reset(seed)
 // — the initial ledger is meaningless before the fleet is materialized.
 func (c *Checker) Begin() {
-	c.initialKWh = nil
-	if el, ok := c.env.(energyLedger); ok {
-		c.initialKWh = make([]float64, c.fleet)
-		for i := 0; i < c.fleet; i++ {
-			c.initialKWh[i] = el.TaxiEnergyLedger(i).SoCKWh
-		}
+	c.initialKWh = make([]float64, c.fleet)
+	for i := 0; i < c.fleet; i++ {
+		c.initialKWh[i] = c.env.TaxiEnergyLedger(i).SoCKWh
 	}
 }
 
@@ -167,10 +149,8 @@ func (c *Checker) AfterStep() {
 			c.violate("region-range", minute, "taxi %d in region %d, partition has %d", i, r, c.regions)
 		}
 	}
-	if sc, ok := c.env.(structuralChecker); ok {
-		if err := sc.CheckInvariants(); err != nil {
-			c.violate("structural", minute, "%v", err)
-		}
+	if err := c.env.CheckInvariants(); err != nil {
+		c.violate("structural", minute, "%v", err)
 	}
 	if c.opts.Energy {
 		c.checkEnergy(minute)
@@ -184,12 +164,8 @@ func (c *Checker) AfterStep() {
 // initial charge plus everything charged minus everything consumed, where
 // the deficit credits energy an empty pack could not actually spend.
 func (c *Checker) checkEnergy(minute int) {
-	el, ok := c.env.(energyLedger)
-	if !ok || c.initialKWh == nil {
-		return
-	}
 	for i := 0; i < c.fleet; i++ {
-		l := el.TaxiEnergyLedger(i)
+		l := c.env.TaxiEnergyLedger(i)
 		want := c.initialKWh[i] + l.ChargedKWh - (l.DrivenKm*l.ConsumptionPerKm - l.DeficitKWh)
 		if diff := math.Abs(l.SoCKWh - want); diff > 1e-6*math.Max(1, l.CapacityKWh) {
 			c.violate("energy-conservation", minute,
@@ -201,15 +177,12 @@ func (c *Checker) checkEnergy(minute int) {
 // checkRequests verifies request conservation: every sampled request is
 // served, expired, or still pending — never duplicated, never dropped.
 func (c *Checker) checkRequests(minute int) {
-	rl, ok := c.env.(requestLedger)
-	if !ok {
-		return
-	}
 	res := c.env.Results()
-	if got := res.ServedRequests + res.UnservedRequests + rl.PendingRequests(); got != rl.GeneratedRequests() {
+	pending, generated := c.env.PendingRequests(), c.env.GeneratedRequests()
+	if got := res.ServedRequests + res.UnservedRequests + pending; got != generated {
 		c.violate("request-conservation", minute,
 			"served %d + unserved %d + pending %d = %d, want %d generated",
-			res.ServedRequests, res.UnservedRequests, rl.PendingRequests(), got, rl.GeneratedRequests())
+			res.ServedRequests, res.UnservedRequests, pending, got, generated)
 	}
 }
 
@@ -261,8 +234,8 @@ func (c *Checker) checkRegionTallies(res *sim.Results) {
 	if sumS != res.ServedRequests {
 		c.violate("region-tally", -1, "region served sum %d != %d served", sumS, res.ServedRequests)
 	}
-	if rl, ok := c.env.(requestLedger); ok && sumD != rl.GeneratedRequests() {
-		c.violate("region-tally", -1, "region demand sum %d != %d generated", sumD, rl.GeneratedRequests())
+	if generated := c.env.GeneratedRequests(); sumD != generated {
+		c.violate("region-tally", -1, "region demand sum %d != %d generated", sumD, generated)
 	}
 }
 
@@ -275,30 +248,12 @@ type stationShadow struct {
 	queue    map[int]int // taxi -> join minute
 }
 
-// queueCandidate is a deferred queue-discipline finding. Event stamps have
-// minute resolution and the engines stamp an unplug one minute after the
-// causal freeing (a session charges through minute m and departs at m+1),
-// so a promotion decided at minute m may be stamped m+1 while the taxi it
-// overtook plugs at m+2's group. A candidate only becomes a violation if
-// none of the seemingly-overtaken taxis left the queue (promotion or
-// eviction) by minute+1.
-type queueCandidate struct {
-	name     string // "queue-fifo" or "queue-jump"
-	minute   int
-	station  int
-	plugTaxi int
-	blockers []blocked
-}
-
-type blocked struct{ taxi, joined int }
-
 // replayStations replays the buffered event log through per-station shadow
 // models. Events are grouped by causal minute — an unplug stamped m freed
-// its point during minute m−1 — and processed in phases, state changes and
-// removals before additions, so the replay accepts both the sequential
-// engine's causal order and the sharded engine's canonical (minute, taxi,
-// kind) order, which interleave a minute's events differently without
-// changing its net semantics.
+// its point during minute m−1's charging sweep, where a higher-ID taxi may
+// already have walked up to it — and processed in phases, state changes and
+// removals before additions, because the canonical (minute, taxi, kind)
+// order interleaves a minute's events by taxi ID, not by cause.
 func (c *Checker) replayStations() {
 	if len(c.events) == 0 {
 		return
@@ -323,12 +278,10 @@ func (c *Checker) replayStations() {
 		shadow:    shadow,
 		pluggedAt: make(map[int]int),
 		queuedAt:  make(map[int]int),
-		unqueued:  make(map[[2]int][]int),
 	}
 
-	// Sort by causal minute, stably: within a minute the two engines order
-	// events differently (causal vs canonical), and the phase replay is
-	// what makes that difference immaterial.
+	// Sort by causal minute, stably: the phase replay makes the canonical
+	// order within a minute immaterial.
 	evs := make([]trace.Event, len(c.events))
 	copy(evs, c.events)
 	causal := func(ev trace.Event) int {
@@ -348,7 +301,6 @@ func (c *Checker) replayStations() {
 		c.replayMinute(evs[lo:hi], minute, st)
 		lo = hi
 	}
-	c.resolveCandidates(st)
 }
 
 // replayState is the cross-minute state of one shadow replay.
@@ -357,18 +309,12 @@ type replayState struct {
 	// Where each taxi currently is, to catch cross-station double states.
 	pluggedAt map[int]int
 	queuedAt  map[int]int
-	// unqueued records every queue departure (promotion or eviction) as
-	// (station, taxi) -> minutes, for candidate resolution.
-	unqueued map[[2]int][]int
-	// candidates are the deferred queue-discipline findings.
-	candidates []queueCandidate
 }
 
-// unqueue removes a taxi from a station's queue and logs the departure.
-func (st *replayState) unqueue(s *stationShadow, station, taxi, minute int) {
+// unqueue removes a taxi from a station's queue.
+func (st *replayState) unqueue(s *stationShadow, taxi int) {
 	delete(s.queue, taxi)
 	delete(st.queuedAt, taxi)
-	st.unqueued[[2]int{station, taxi}] = append(st.unqueued[[2]int{station, taxi}], minute)
 }
 
 // replayMinute applies one causal minute of events in semantic phases.
@@ -430,7 +376,7 @@ func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 				c.violate("replan-not-queued", minute, "taxi %d evicted from station %d it was not queued at", ev.Taxi, ev.A)
 				continue
 			}
-			st.unqueue(s, ev.A, ev.Taxi, minute)
+			st.unqueue(s, ev.Taxi)
 		}
 	}
 
@@ -468,14 +414,14 @@ func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 		if at, queued := st.queuedAt[ev.Taxi]; queued && at != ev.A {
 			c.violate("plug-while-queued", minute, "taxi %d plugged at station %d while queued at %d", ev.Taxi, ev.A, at)
 			if other := st.shadow(at, minute); other != nil {
-				st.unqueue(other, at, ev.Taxi, minute)
+				st.unqueue(other, ev.Taxi)
 			}
 		} else if queued {
 			if closedAtStart[ev.A] && s.closed {
 				c.violate("plug-closed", minute, "taxi %d promoted at station %d closed since an earlier minute", ev.Taxi, ev.A)
 			}
 			proms[ev.A] = append(proms[ev.A], plugged{ev.Taxi, s.queue[ev.Taxi]})
-			st.unqueue(s, ev.A, ev.Taxi, minute)
+			st.unqueue(s, ev.Taxi)
 		} else {
 			// A walk-up at a closed station is illegal even at the closure
 			// edge: arrivals run after the perturbation sweep and must balk.
@@ -492,34 +438,22 @@ func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 	// after all of the minute's departures. FIFO: no promoted taxi joined
 	// strictly later than a taxi still waiting. Walk-up: nobody from an
 	// earlier minute may still be waiting (same-minute joins are processed
-	// in phase 5 — causally they happen after the plug). Findings are
-	// deferred: the overtaken taxi's own promotion may be stamped one
-	// minute later (see queueCandidate).
+	// in phase 5 — causally they happen after the plug).
 	for stID, ps := range proms {
 		s := st.shadow(stID, minute)
 		for _, p := range ps {
-			var bs []blocked
-			for other, om := range s.queue {
-				if om < p.joined {
-					bs = append(bs, blocked{other, om})
-				}
-			}
-			if len(bs) > 0 {
-				st.candidates = append(st.candidates, queueCandidate{"queue-fifo", minute, stID, p.taxi, bs})
+			if other, om, ok := earliestQueued(s, p.joined); ok {
+				c.violate("queue-fifo", minute, "taxi %d plugged at station %d ahead of taxi %d queued since @%d",
+					p.taxi, stID, other, om)
 			}
 		}
 	}
 	for stID, ws := range walks {
 		s := st.shadow(stID, minute)
 		for _, w := range ws {
-			var bs []blocked
-			for other, om := range s.queue {
-				if om < minute {
-					bs = append(bs, blocked{other, om})
-				}
-			}
-			if len(bs) > 0 {
-				st.candidates = append(st.candidates, queueCandidate{"queue-jump", minute, stID, w, bs})
+			if other, om, ok := earliestQueued(s, minute); ok {
+				c.violate("queue-jump", minute, "taxi %d plugged at station %d ahead of taxi %d queued since @%d",
+					w, stID, other, om)
 			}
 		}
 	}
@@ -562,25 +496,13 @@ func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 	}
 }
 
-// resolveCandidates turns deferred queue-discipline findings into
-// violations unless every seemingly-overtaken taxi in fact left the queue
-// by the candidate minute plus the one-minute stamping slack.
-func (c *Checker) resolveCandidates(st *replayState) {
-	for _, cand := range st.candidates {
-		for _, b := range cand.blockers {
-			cleared := false
-			for _, m := range st.unqueued[[2]int{cand.station, b.taxi}] {
-				if m >= cand.minute && m <= cand.minute+1 {
-					cleared = true
-					break
-				}
-			}
-			if !cleared {
-				c.violate(cand.name, cand.minute,
-					"taxi %d plugged at station %d ahead of taxi %d queued since @%d",
-					cand.plugTaxi, cand.station, b.taxi, b.joined)
-				break
-			}
+// earliestQueued returns the longest-waiting taxi still in s's queue that
+// joined before minute before (ties to the lowest taxi ID).
+func earliestQueued(s *stationShadow, before int) (taxi, joined int, ok bool) {
+	for other, om := range s.queue {
+		if om < before && (!ok || om < joined || om == joined && other < taxi) {
+			taxi, joined, ok = other, om, true
 		}
 	}
+	return taxi, joined, ok
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // testEnv builds the micro world the checker tests run against.
-func testEnv(t *testing.T) sim.Environment {
+func testEnv(t *testing.T) *sim.Core {
 	t.Helper()
 	city, err := synth.Build(synth.MicroConfig(42))
 	if err != nil {
@@ -19,7 +19,7 @@ func testEnv(t *testing.T) sim.Environment {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.3
 	}
-	return sim.New(city, sim.DefaultOptions(1), 42)
+	return sim.New(city, sim.DefaultOptions(1), 1, 42)
 }
 
 // forged runs a hand-written event stream through a fresh checker's shadow
@@ -65,12 +65,27 @@ func TestShadowDetectsFIFOViolation(t *testing.T) {
 		ev(trace.EvQueue, 6, 2, 0),
 		ev(trace.EvPlug, 10, 2, 0), // taxi 1 joined earlier and still waits
 	}), "queue-fifo")
+	// Overtaking is a violation in its own minute, even when the overtaken
+	// taxi is promoted the next minute.
+	wantViolation(t, forged(t, []trace.Event{
+		ev(trace.EvQueue, 5, 1, 0),
+		ev(trace.EvQueue, 6, 2, 0),
+		ev(trace.EvPlug, 10, 2, 0),
+		ev(trace.EvUnplug, 12, 2, 0),
+		ev(trace.EvPlug, 11, 1, 0),
+	}), "queue-fifo")
 }
 
 func TestShadowDetectsQueueJump(t *testing.T) {
 	wantViolation(t, forged(t, []trace.Event{
 		ev(trace.EvQueue, 5, 1, 0),
 		ev(trace.EvPlug, 10, 2, 0), // walk-up past a waiting taxi
+	}), "queue-jump")
+	wantViolation(t, forged(t, []trace.Event{
+		ev(trace.EvQueue, 5, 1, 0),
+		ev(trace.EvPlug, 10, 2, 0),
+		ev(trace.EvUnplug, 12, 2, 0),
+		ev(trace.EvPlug, 11, 1, 0), // promoted a minute after the jump
 	}), "queue-jump")
 }
 

@@ -387,3 +387,48 @@ func (m *MLP) Clone() *MLP {
 	}
 	return out
 }
+
+// LayerData is one dense layer in serialized form: its shape, activation,
+// and row-major weights (Out × In) and biases.
+type LayerData struct {
+	In, Out int
+	Act     Activation
+	W, B    []float32
+}
+
+// Load assembles an MLP from serialized layers, which it takes ownership
+// of. Serialized networks are untrusted input, so every layer is checked:
+// an empty network, a non-positive width, weight or bias counts that do
+// not match the shape, an unknown activation, or widths that do not chain
+// from one layer to the next return an error and no network.
+func Load(layers []LayerData) (*MLP, error) {
+	if len(layers) == 0 {
+		return nil, fmt.Errorf("nn: load: empty network")
+	}
+	m := &MLP{}
+	for i, l := range layers {
+		if l.In <= 0 || l.Out <= 0 {
+			return nil, fmt.Errorf("nn: load: layer %d has invalid shape %d -> %d", i, l.In, l.Out)
+		}
+		if len(l.W) != l.In*l.Out {
+			return nil, fmt.Errorf("nn: load: layer %d has %d weights, shape %d -> %d needs %d", i, len(l.W), l.In, l.Out, l.In*l.Out)
+		}
+		if len(l.B) != l.Out {
+			return nil, fmt.Errorf("nn: load: layer %d has %d biases, want %d", i, len(l.B), l.Out)
+		}
+		if l.Act < Identity || l.Act > Tanh {
+			return nil, fmt.Errorf("nn: load: layer %d has unknown activation code %d", i, int(l.Act))
+		}
+		if i > 0 && l.In != layers[i-1].Out {
+			return nil, fmt.Errorf("nn: load: layer %d input width %d does not chain from previous output %d", i, l.In, layers[i-1].Out)
+		}
+		m.Layers = append(m.Layers, &Dense{
+			In: l.In, Out: l.Out, Act: l.Act,
+			W:     FromSlice(l.Out, l.In, l.W),
+			B:     l.B,
+			GradW: NewMat(l.Out, l.In),
+			GradB: make([]float32, l.Out),
+		})
+	}
+	return m, nil
+}

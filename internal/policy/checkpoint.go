@@ -102,13 +102,13 @@ func (d *DQN) CheckpointKind() string { return "dqn" }
 
 // CheckpointFingerprint implements checkpoint.Checkpointer. It covers every
 // hyperparameter that shapes the serialized state or the remaining training
-// schedule; Workers and EvalEpsilon are excluded because they never change
-// results.
+// schedule, plus the engine tag; Workers, Shards and EvalEpsilon are
+// excluded because they never change results.
 func (d *DQN) CheckpointFingerprint() uint64 {
 	return checkpoint.Fingerprint(fmt.Sprintf(
-		"dqn|alpha=%g|gamma=%g|eps=%g|mineps=%g|hidden=%v|lr=%g|batch=%d|buffer=%d|target=%d|cql=%g|feat=%d|actions=%d",
+		"dqn|alpha=%g|gamma=%g|eps=%g|mineps=%g|hidden=%v|lr=%g|batch=%d|buffer=%d|target=%d|cql=%g|feat=%d|actions=%d|%s",
 		d.Alpha, d.Gamma, d.Epsilon, d.MinEps, d.Hidden, d.LR, d.Batch, d.Buffer, d.TargetEvery, d.CQLAlpha,
-		sim.FeatureSize, sim.NumActions))
+		sim.FeatureSize, sim.NumActions, sim.EngineTag))
 }
 
 // CheckpointProgress implements checkpoint.Checkpointer.
@@ -184,8 +184,8 @@ func (t *TQL) CheckpointKind() string { return "tql" }
 // CheckpointFingerprint implements checkpoint.Checkpointer.
 func (t *TQL) CheckpointFingerprint() uint64 {
 	return checkpoint.Fingerprint(fmt.Sprintf(
-		"tql|alpha=%g|gamma=%g|lr=%g|eps=%g|bins=%d|actions=%d",
-		t.Alpha, t.Gamma, t.LR, t.Epsilon, t.TimeBins, sim.NumActions))
+		"tql|alpha=%g|gamma=%g|lr=%g|eps=%g|bins=%d|actions=%d|%s",
+		t.Alpha, t.Gamma, t.LR, t.Epsilon, t.TimeBins, sim.NumActions, sim.EngineTag))
 }
 
 // CheckpointProgress implements checkpoint.Checkpointer.
@@ -268,8 +268,8 @@ func (t *TBA) CheckpointKind() string { return "tba" }
 // CheckpointFingerprint implements checkpoint.Checkpointer.
 func (t *TBA) CheckpointFingerprint() uint64 {
 	return checkpoint.Fingerprint(fmt.Sprintf(
-		"tba|gamma=%g|lr=%g|hidden=%v|feat=%d|actions=%d",
-		t.Gamma, t.LR, t.Hidden, sim.FeatureSize, sim.NumActions))
+		"tba|gamma=%g|lr=%g|hidden=%v|feat=%d|actions=%d|%s",
+		t.Gamma, t.LR, t.Hidden, sim.FeatureSize, sim.NumActions, sim.EngineTag))
 }
 
 // CheckpointProgress implements checkpoint.Checkpointer.

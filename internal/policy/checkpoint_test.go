@@ -3,10 +3,12 @@ package policy
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/sim"
 )
 
 func marshalOrDie(t *testing.T, c checkpoint.Checkpointer) []byte {
@@ -188,5 +190,46 @@ func TestTQLPretrainResumeDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(marshalOrDie(t, resumed), want) {
 		t.Fatal("resumed pretrain is not byte-identical to the unbroken run")
+	}
+}
+
+// TestCheckpointRejectsPreEngineTagFingerprint forges, for every baseline
+// learner, a digest-valid checkpoint carrying the fingerprint its kind had
+// before sim.EngineTag joined it — what a training run on the retired
+// sequential engine wrote — around the learner's own valid payload. Loading
+// must fail closed with ErrFingerprint and leave the learner untouched:
+// resuming such a checkpoint would continue a different trajectory.
+func TestCheckpointRejectsPreEngineTagFingerprint(t *testing.T) {
+	d := NewDQN(0.6, 5)
+	q := NewTQL(0.6)
+	b := NewTBA(5)
+	cases := []struct {
+		learner checkpoint.Checkpointer
+		legacy  string
+	}{
+		{d, fmt.Sprintf("dqn|alpha=%g|gamma=%g|eps=%g|mineps=%g|hidden=%v|lr=%g|batch=%d|buffer=%d|target=%d|cql=%g|feat=%d|actions=%d",
+			d.Alpha, d.Gamma, d.Epsilon, d.MinEps, d.Hidden, d.LR, d.Batch, d.Buffer, d.TargetEvery, d.CQLAlpha,
+			sim.FeatureSize, sim.NumActions)},
+		{q, fmt.Sprintf("tql|alpha=%g|gamma=%g|lr=%g|eps=%g|bins=%d|actions=%d",
+			q.Alpha, q.Gamma, q.LR, q.Epsilon, q.TimeBins, sim.NumActions)},
+		{b, fmt.Sprintf("tba|gamma=%g|lr=%g|hidden=%v|feat=%d|actions=%d",
+			b.Gamma, b.LR, b.Hidden, sim.FeatureSize, sim.NumActions)},
+	}
+	for _, tc := range cases {
+		kind := tc.learner.CheckpointKind()
+		before := marshalOrDie(t, tc.learner)
+		enc := checkpoint.NewEncoder()
+		tc.learner.EncodeCheckpoint(enc)
+		meta := checkpoint.Meta{Version: checkpoint.Version, Kind: kind, Fingerprint: checkpoint.Fingerprint(tc.legacy)}
+		if meta.Fingerprint == tc.learner.CheckpointFingerprint() {
+			t.Fatalf("%s: fingerprint does not carry the engine tag", kind)
+		}
+		forged := checkpoint.Seal(meta, enc.Bytes())
+		if _, err := checkpoint.Unmarshal(forged, tc.learner); !errors.Is(err, checkpoint.ErrFingerprint) {
+			t.Fatalf("%s: pre-engine-tag checkpoint: %v, want ErrFingerprint", kind, err)
+		}
+		if after := marshalOrDie(t, tc.learner); !bytes.Equal(after, before) {
+			t.Fatalf("%s: rejected checkpoint mutated the learner", kind)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 func TestCoordinatorBeatsGroundTruth(t *testing.T) {
 	city := testCity(t, 30)
 	opts := sim.DefaultOptions(1)
-	env := sim.New(city, opts, 30)
+	env := sim.New(city, opts, 1, 30)
 	gt := Evaluate(NewGroundTruth(), env, 30)
 	coord := Evaluate(NewCoordinator(), env, 30)
 	if pipe := metrics.PIPE(gt, coord); pipe <= 0 {
@@ -37,7 +37,7 @@ func TestCoordinatorFairShareImprovesFairness(t *testing.T) {
 	}
 	opts := sim.DefaultOptions(2)
 	opts.WarmupDays = 1
-	env := sim.New(city, opts, 42)
+	env := sim.New(city, opts, 1, 42)
 
 	fair := Evaluate(NewCoordinator(), env, 42)
 	noFair := NewCoordinator()
@@ -59,7 +59,7 @@ func TestCoordinatorFairShareImprovesFairness(t *testing.T) {
 
 func TestCoordinatorRespectsMasks(t *testing.T) {
 	city := testCity(t, 32)
-	env := sim.New(city, sim.DefaultOptions(1), 32)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 32)
 	res := Evaluate(NewCoordinator(), env, 32)
 	if env.InvalidActions() > 0 {
 		t.Fatalf("coordinator produced %d invalid actions", env.InvalidActions())
@@ -82,7 +82,7 @@ func TestCoordinatorName(t *testing.T) {
 
 func TestCoordinatorPreChargesOffPeak(t *testing.T) {
 	city := testCity(t, 33)
-	env := sim.New(city, sim.DefaultOptions(2), 33)
+	env := sim.New(city, sim.DefaultOptions(2), 1, 33)
 	res := Evaluate(NewCoordinator(), env, 33)
 	if len(res.ChargeStats) == 0 {
 		t.Skip("no charging in this run")

@@ -30,8 +30,9 @@ const demoSeedOffset = 7000
 // DemoEpisodeSeed returns the seed of pretraining episode ep under run seed.
 func DemoEpisodeSeed(seed int64, ep int) int64 { return seed + demoSeedOffset + int64(ep) }
 
-// CollectDemos rolls out episodes of guide-driven demonstrations and returns
-// each episode's transitions, indexed by episode. Episodes are independent —
+// CollectDemosFrom rolls out demonstration episodes [from, episodes) of
+// guide on an engine with the given shard count and returns each episode's
+// transitions, indexed from 0 = episode from. Episodes are independent —
 // each gets a fresh environment and rng streams derived only from its own
 // episode seed — so they fan out across workers; the returned order is
 // always episode order, making the result byte-identical for any worker
@@ -40,16 +41,13 @@ func DemoEpisodeSeed(seed int64, ep int) int64 { return seed + demoSeedOffset + 
 //
 // If guide does not implement Cloner the rollout runs serially on the shared
 // instance, whatever workers says: correctness beats speed.
-func CollectDemos(city *synth.City, guide Policy, episodes, days int, seed int64, workers int, alpha, gamma float64) [][]Transition {
-	return CollectDemosFrom(nil, city, guide, 0, episodes, days, seed, workers, alpha, gamma)
-}
-
-// CollectDemosFrom is CollectDemos restricted to episodes [from, episodes) —
-// the resume path: a learner restored from a pretraining checkpoint replays
-// only the demonstrations it has not consumed yet. Episode ep still rolls
-// out under DemoEpisodeSeed(seed, ep), so the collected transitions are
-// byte-identical to the corresponding tail of a full collection.
-func CollectDemosFrom(build sim.EnvBuilder, city *synth.City, guide Policy, from, episodes, days int, seed int64, workers int, alpha, gamma float64) [][]Transition {
+//
+// Starting past 0 is the resume path: a learner restored from a pretraining
+// checkpoint replays only the demonstrations it has not consumed yet.
+// Episode ep still rolls out under DemoEpisodeSeed(seed, ep), so the
+// collected transitions are byte-identical to the corresponding tail of a
+// full collection.
+func CollectDemosFrom(shards int, city *synth.City, guide Policy, from, episodes, days int, seed int64, workers int, alpha, gamma float64) [][]Transition {
 	if from < 0 {
 		from = 0
 	}
@@ -63,7 +61,7 @@ func CollectDemosFrom(build sim.EnvBuilder, city *synth.City, guide Policy, from
 	}
 	rollout := func(g Policy, ep int) []Transition {
 		epSeed := DemoEpisodeSeed(seed, ep)
-		env := sim.BuildEnv(build, city, sim.DefaultOptions(days), epSeed)
+		env := sim.New(city, sim.DefaultOptions(days), shards, epSeed)
 		g.BeginEpisode(epSeed)
 		var buf []Transition
 		chooser := PolicyChooser(env, g)

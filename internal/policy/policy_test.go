@@ -19,7 +19,7 @@ func testCity(t *testing.T, seed int64) *synth.City {
 
 func TestEvaluateRunsAllPolicies(t *testing.T) {
 	city := testCity(t, 1)
-	env := sim.New(city, sim.DefaultOptions(1), 1)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 1)
 	policies := []Policy{NewGroundTruth(), NewSD2(), NewTQL(0.6), NewDQN(0.6, 1), NewTBA(1)}
 	for _, p := range policies {
 		res := Evaluate(p, env, 1)
@@ -37,7 +37,7 @@ func TestEvaluateRunsAllPolicies(t *testing.T) {
 
 func TestEvaluateSameSeedSameDemand(t *testing.T) {
 	city := testCity(t, 2)
-	env := sim.New(city, sim.DefaultOptions(1), 1)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 1)
 	a := Evaluate(NewGroundTruth(), env, 5)
 	total1 := a.ServedRequests + a.UnservedRequests
 	b := Evaluate(NewSD2(), env, 5)
@@ -49,7 +49,7 @@ func TestEvaluateSameSeedSameDemand(t *testing.T) {
 
 func TestGroundTruthChargesOffPeak(t *testing.T) {
 	city := testCity(t, 3)
-	env := sim.New(city, sim.DefaultOptions(2), 3)
+	env := sim.New(city, sim.DefaultOptions(2), 1, 3)
 	res := Evaluate(NewGroundTruth(), env, 3)
 	if len(res.ChargeStats) == 0 {
 		t.Skip("no charging in this short run")
@@ -77,7 +77,7 @@ func TestGroundTruthChargesOffPeak(t *testing.T) {
 
 func TestSD2AlwaysNearestStation(t *testing.T) {
 	city := testCity(t, 4)
-	env := sim.New(city, sim.DefaultOptions(1), 4)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 4)
 	env.Reset(4)
 	sd2 := NewSD2()
 	sd2.BeginEpisode(4)
@@ -101,7 +101,7 @@ func TestSD2AlwaysNearestStation(t *testing.T) {
 
 func TestSD2MovesTowardDemand(t *testing.T) {
 	city := testCity(t, 5)
-	env := sim.New(city, sim.DefaultOptions(1), 5)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 5)
 	env.Reset(5)
 	sd2 := NewSD2()
 	// Step a few slots; SD2 should produce at least some Move actions over a
@@ -133,7 +133,7 @@ func TestTQLTrainingImprovesTable(t *testing.T) {
 		t.Fatal("Q-table empty after training")
 	}
 	// After training, greedy evaluation must run cleanly.
-	env := sim.New(city, sim.DefaultOptions(1), 6)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 6)
 	res := Evaluate(tql, env, 6)
 	if res.ServedRequests == 0 {
 		t.Fatal("trained TQL served nothing")
@@ -195,7 +195,7 @@ func TestTBATrainRuns(t *testing.T) {
 	if len(stats.MeanReward) != 1 {
 		t.Fatalf("train stats wrong: %+v", stats)
 	}
-	env := sim.New(city, sim.DefaultOptions(1), 10)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 10)
 	res := Evaluate(tba, env, 10)
 	if res.ServedRequests == 0 {
 		t.Fatal("trained TBA served nothing")
@@ -204,7 +204,7 @@ func TestTBATrainRuns(t *testing.T) {
 
 func TestRunEpisodeTransitionsWellFormed(t *testing.T) {
 	city := testCity(t, 11)
-	env := sim.New(city, sim.DefaultOptions(1), 11)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 11)
 	env.Reset(11)
 	var n, terminals int
 	mean := RunEpisode(env,
@@ -258,7 +258,7 @@ func TestRunEpisodeTransitionsWellFormed(t *testing.T) {
 
 func TestSlotRewardAlphaBoundaries(t *testing.T) {
 	city := testCity(t, 12)
-	env := sim.New(city, sim.DefaultOptions(1), 12)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 12)
 	env.Reset(12)
 	env.Step(nil)
 	_, pf := env.FleetPEStats()

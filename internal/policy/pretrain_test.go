@@ -9,7 +9,7 @@ import (
 
 func TestPolicyChooserFollowsGuide(t *testing.T) {
 	city := testCity(t, 40)
-	env := sim.New(city, sim.DefaultOptions(1), 40)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 40)
 	env.Reset(40)
 	guide := NewCoordinator()
 	guide.BeginEpisode(40)
@@ -94,7 +94,7 @@ func TestTBAPretrainClonesTeacher(t *testing.T) {
 	}
 	// After cloning a mostly-staying teacher, "stay" should carry large
 	// probability mass on a typical healthy-taxi observation.
-	env := sim.New(city, sim.DefaultOptions(1), 43)
+	env := sim.New(city, sim.DefaultOptions(1), 1, 43)
 	env.Reset(43)
 	var sum float64
 	var n int

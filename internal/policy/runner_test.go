@@ -19,10 +19,10 @@ func TestRunnerMatchesEvaluate(t *testing.T) {
 	}
 	opts := sim.DefaultOptions(1)
 
-	evalEnv := sim.New(city, opts, seed)
+	evalEnv := sim.New(city, opts, 1, seed)
 	want := Evaluate(NewGroundTruth(), evalEnv, seed)
 
-	runEnv := sim.New(city, opts, seed)
+	runEnv := sim.New(city, opts, 1, seed)
 	r := NewRunner(NewGroundTruth(), runEnv, seed)
 	for !r.Done() {
 		r.StepSlot()
@@ -55,7 +55,7 @@ func TestRunnerDecisionsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	record := func() []Decision {
-		env := sim.New(city, sim.DefaultOptions(1), seed)
+		env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 		r := NewRunner(NewGroundTruth(), env, seed)
 		var all []Decision
 		for i := 0; i < 24 && !r.Done(); i++ {
@@ -88,7 +88,7 @@ func TestRunnerSetPolicySwitchesMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	r := NewRunner(NewGroundTruth(), env, seed)
 	r.StepSlot()
 	if r.Policy().Name() != "GT" {

@@ -172,7 +172,7 @@ func (c Config) evaluate(city *synth.City, p policy.Policy) *sim.Results {
 // keeps concurrent evaluations separable per method; its counters are pure
 // functions of the trajectory, so the snapshot is deterministic.
 func (c Config) evaluateTel(city *synth.City, p policy.Policy) (*sim.Results, telemetry.Snapshot) {
-	env := sim.New(city, c.simOptions(), c.Seed)
+	env := sim.New(city, c.simOptions(), 1, c.Seed)
 	if c.Scenario != nil {
 		if _, err := scenario.Attach(env, c.Scenario); err != nil {
 			// Run/RunGTOnly validate the spec against the city up front, so
@@ -570,7 +570,7 @@ func (b *Bundle) RunAblations() {
 	if p, ok := b.policyCache["FairMove"]; ok {
 		opts := cfg.simOptions()
 		opts.NoForecastFeature = true
-		env := sim.New(b.City, opts, cfg.Seed)
+		env := sim.New(b.City, opts, 1, cfg.Seed)
 		b.Ablations["FairMove-NoForecast"] = policy.Evaluate(p, env, cfg.Seed+1000)
 	}
 }

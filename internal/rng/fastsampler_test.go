@@ -7,7 +7,7 @@ import (
 )
 
 // The fast samplers (prefix-sum binary search, Walker alias table) exist for
-// the sharded engine's hot path. Their contract: same marginal distribution
+// the engine's hot path. Their contract: same marginal distribution
 // as WeightedChoice over the same weights, exactly one uniform consumed per
 // draw, zero-weight entries never drawn.
 

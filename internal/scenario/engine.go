@@ -80,9 +80,8 @@ type cohortWindow struct {
 	mod, rem int
 }
 
-// Engine implements the extended tier too: plain-Hooks consumers see the
-// base six methods, extended-aware environments get all ten.
-var _ sim.ExtendedHooks = (*Engine)(nil)
+// Engine implements every perturbation channel of the simulation.
+var _ sim.Hooks = (*Engine)(nil)
 
 // NewEngine compiles a validated spec. It does not validate indices against
 // a city; use Attach for that.
@@ -194,13 +193,13 @@ func (e *Engine) BatteryFactor(taxi int) float64 {
 	return f
 }
 
-// SpeedScale implements sim.ExtendedHooks: the travel-speed multiplier for
+// SpeedScale implements sim.Hooks: the travel-speed multiplier for
 // a region at a minute (weather events; 1 means clear skies).
 func (e *Engine) SpeedScale(region, minute int) float64 {
 	return productAt(e.speed, region, minute)
 }
 
-// TariffScale implements sim.ExtendedHooks: the citywide charging-price
+// TariffScale implements sim.Hooks: the citywide charging-price
 // multiplier at a minute (tariff-shift events).
 func (e *Engine) TariffScale(minute int) float64 {
 	f := 1.0
@@ -212,7 +211,7 @@ func (e *Engine) TariffScale(minute int) float64 {
 	return f
 }
 
-// OffDuty implements sim.ExtendedHooks: whether a taxi is on a shift
+// OffDuty implements sim.Hooks: whether a taxi is on a shift
 // change at a minute.
 func (e *Engine) OffDuty(taxi, minute int) bool {
 	for _, cw := range e.offduty {
@@ -223,7 +222,7 @@ func (e *Engine) OffDuty(taxi, minute int) bool {
 	return false
 }
 
-// ConsumptionFactor implements sim.ExtendedHooks: the per-taxi multiplier
+// ConsumptionFactor implements sim.Hooks: the per-taxi multiplier
 // on energy consumption per km (battery-cohort events).
 func (e *Engine) ConsumptionFactor(taxi int) float64 {
 	f := 1.0
@@ -254,19 +253,11 @@ func ValidateFor(spec *Spec, city *synth.City) error {
 	return nil
 }
 
-// AttachTarget is the environment surface Attach needs: any engine that
-// exposes its city and accepts hooks (both *sim.Env and the sharded
-// shard.Engine qualify).
-type AttachTarget interface {
-	City() *synth.City
-	SetHooks(sim.Hooks)
-}
-
 // Attach validates the spec against the environment's city, compiles it,
 // and installs the engine as the env's hooks. Install before Reset
 // (policy.Evaluate resets internally, so attaching before Evaluate is
 // always safe).
-func Attach(env AttachTarget, spec *Spec) (*Engine, error) {
+func Attach(env sim.Environment, spec *Spec) (*Engine, error) {
 	if err := ValidateFor(spec, env.City()); err != nil {
 		return nil, err
 	}

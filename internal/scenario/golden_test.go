@@ -53,7 +53,7 @@ func goldenDigest(spec *Spec) (string, error) {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.3
 	}
-	env := sim.New(city, sim.DefaultOptions(1), goldenSeed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, goldenSeed)
 	var events []trace.Event
 	env.SetRecorder(func(ev trace.Event) { events = append(events, ev) })
 	if _, err := Attach(env, spec); err != nil {
@@ -144,7 +144,7 @@ func TestGoldenBaselineMatchesNoScenario(t *testing.T) {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.3
 	}
-	env := sim.New(city, sim.DefaultOptions(1), goldenSeed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, goldenSeed)
 	var events []trace.Event
 	env.SetRecorder(func(ev trace.Event) { events = append(events, ev) })
 	env.Reset(goldenSeed)

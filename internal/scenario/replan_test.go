@@ -30,7 +30,7 @@ func lowSoCCity(t *testing.T, seed int64) *synth.City {
 
 func recordRun(t *testing.T, city *synth.City, spec *Spec, seed int64) []trace.Event {
 	t.Helper()
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	var events []trace.Event
 	env.SetRecorder(func(ev trace.Event) { events = append(events, ev) })
 	if _, err := Attach(env, spec); err != nil {

@@ -33,7 +33,7 @@ func gpsAt(min int) Event {
 func TestBackpressureDeterministic(t *testing.T) {
 	const seed = 31
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, QueueCap: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestBackpressureDeterministic(t *testing.T) {
 func TestBackpressureHTTP(t *testing.T) {
 	const seed = 32
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, QueueCap: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestBackpressureHTTP(t *testing.T) {
 func TestDrainQueueMonotone(t *testing.T) {
 	const seed = 33
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, QueueCap: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestServeSoak(t *testing.T) {
 	perProducer := total / producers / batchSize // batches per producer
 
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, QueueCap: 64})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ import (
 // boundary: slot k's fixes are stamped at k's end minute, so ingesting them
 // releases exactly slot k.
 func RecordFeed(city *synth.City, opts sim.Options, seed int64, maxSlots int) []Event {
-	env := sim.New(city, opts, seed)
+	env := sim.New(city, opts, 1, seed)
 	var slotReqs []Event
 	env.SetRecorder(func(ev trace.Event) {
 		if ev.Kind == trace.EvPickup {

@@ -29,7 +29,7 @@ func fuzzServer() (*Server, http.Handler) {
 		if err != nil {
 			panic(err)
 		}
-		env := sim.New(city, sim.DefaultOptions(1), 1234)
+		env := sim.New(city, sim.DefaultOptions(1), 1, 1234)
 		fuzzSrv, err = New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: 1234, QueueCap: 1 << 16})
 		if err != nil {
 			panic(err)

@@ -52,7 +52,7 @@ func writeFairMoveCheckpoint(t *testing.T, dir, name string, alpha float64, seed
 func newTestServer(t *testing.T, seed int64, reload ReloadFunc) *Server {
 	t.Helper()
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, Reload: reload})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestHotSwapConcurrent(t *testing.T) {
 	}
 
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, Reload: fairmoveReload(0.6, seed)})
 	if err != nil {
 		t.Fatal(err)

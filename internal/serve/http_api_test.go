@@ -23,7 +23,7 @@ func apiServer(t *testing.T, reload ReloadFunc) (*Server, *httptest.Server) {
 	t.Helper()
 	const seed = 41
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, Reload: reload, History: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestHTTPReloadNotConfigured(t *testing.T) {
 func TestClientBackpressureRetry(t *testing.T) {
 	const seed = 43
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, QueueCap: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestClientBackpressureRetry(t *testing.T) {
 func TestSlotEveryTicker(t *testing.T) {
 	const seed = 44
 	city := microCity(t, seed)
-	env := sim.New(city, sim.DefaultOptions(1), seed)
+	env := sim.New(city, sim.DefaultOptions(1), 1, seed)
 	srv, err := New(Config{Env: env, Policy: policy.NewGroundTruth(), Seed: seed, SlotEvery: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -1,17 +1,19 @@
-package shard
+package shard_test
 
-// The shard-invariance battery: the tentpole's correctness proof. A sharded
-// run must be a pure function of (city, options, seed) — never of the shard
-// count — so every test here runs the same world at several K and demands
-// byte-identical results: trace digests, telemetry counters, accounting.
+// The shard-invariance battery. A run must be a pure function of (city,
+// options, seed) — never of the shard count — so every test here runs the
+// same world at several K and demands byte-identical results: trace digests
+// (against the committed scenario goldens), telemetry counters, accounting.
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -24,8 +26,10 @@ const invarianceSeed = 42
 // shardCounts is the ladder every invariance test climbs.
 var shardCounts = []int{1, 2, 4, 8}
 
-// goldenFixtures are the scenario specs pinned by the golden-trace harness;
-// the sharded engine must be K-invariant under every one of them.
+// goldenFixtures are the scenario specs pinned by the golden-trace harness
+// (internal/scenario/golden_test.go, which replays the same world: micro
+// city, seed 42, one day, Stay policy, InitialSoC 0.3); every shard count
+// must reproduce each one's committed digest.
 var goldenFixtures = []string{"baseline", "station-outage", "demand-surge", "weather", "airport-surge"}
 
 func loadFixture(t *testing.T, name string) *scenario.Spec {
@@ -35,6 +39,16 @@ func loadFixture(t *testing.T, name string) *scenario.Spec {
 		t.Fatalf("fixture %s: %v", name, err)
 	}
 	return spec
+}
+
+// goldenDigest reads a fixture's committed trace digest.
+func goldenDigest(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "scenario", "testdata", "golden", name+".digest"))
+	if err != nil {
+		t.Fatalf("golden %s: %v", name, err)
+	}
+	return strings.TrimSpace(string(raw))
 }
 
 func microCity(t *testing.T, seed int64) *synth.City {
@@ -55,9 +69,7 @@ func microCity(t *testing.T, seed int64) *synth.City {
 // event digest, the deterministic telemetry counters, and the results.
 func shardRun(t *testing.T, city *synth.City, spec *scenario.Spec, shards int) (string, map[string]int64, *sim.Results) {
 	t.Helper()
-	// Built through Builder — the seam the facade uses — so the test also
-	// covers the EnvBuilder path.
-	env := Builder(shards)(city, sim.DefaultOptions(1), invarianceSeed).(*Engine)
+	env := sim.New(city, sim.DefaultOptions(1), shards, invarianceSeed)
 	var events []trace.Event
 	env.SetRecorder(func(ev trace.Event) { events = append(events, ev) })
 	reg := telemetry.NewRegistry()
@@ -82,9 +94,9 @@ func shardRun(t *testing.T, city *synth.City, spec *scenario.Spec, shards int) (
 }
 
 // TestShardInvarianceGoldenFixtures is the acceptance gate: for every golden
-// scenario fixture (plus the unperturbed world), shards=1 and shards=N
-// produce identical trace digests, telemetry counters, and headline
-// accounting.
+// scenario fixture (plus the unperturbed world, whose digest is baseline's),
+// every shard count reproduces the committed trace digest, and shards=N
+// matches shards=1's telemetry counters and headline accounting.
 func TestShardInvarianceGoldenFixtures(t *testing.T) {
 	specs := map[string]*scenario.Spec{"clean": nil}
 	for _, name := range goldenFixtures {
@@ -92,12 +104,20 @@ func TestShardInvarianceGoldenFixtures(t *testing.T) {
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
+			golden := "baseline"
+			if spec != nil {
+				golden = name
+			}
+			want := goldenDigest(t, golden)
 			city := microCity(t, invarianceSeed)
 			refDigest, refCounters, refRes := shardRun(t, city, spec, 1)
+			if refDigest != want {
+				t.Errorf("shards=1: digest %s != committed %s digest %s", refDigest, golden, want)
+			}
 			for _, k := range shardCounts[1:] {
 				digest, counters, res := shardRun(t, city, spec, k)
-				if digest != refDigest {
-					t.Errorf("shards=%d: digest %s != shards=1 digest %s", k, digest, refDigest)
+				if digest != want {
+					t.Errorf("shards=%d: digest %s != committed %s digest %s", k, digest, golden, want)
 				}
 				for cname, want := range refCounters {
 					if got := counters[cname]; got != want {
@@ -145,7 +165,7 @@ func TestShardSmoke(t *testing.T) {
 func TestAssignCoversPartition(t *testing.T) {
 	city := microCity(t, invarianceSeed)
 	for _, k := range []int{1, 2, 3, 5, 8, 12, 100} {
-		owner := Assign(city.Partition, k)
+		owner := shard.Assign(city.Partition, k)
 		if len(owner) != city.Partition.Len() {
 			t.Fatalf("k=%d: %d assignments for %d regions", k, len(owner), city.Partition.Len())
 		}
@@ -163,7 +183,7 @@ func TestAssignCoversPartition(t *testing.T) {
 		if len(seen) != wantK {
 			t.Errorf("k=%d: only %d of %d shards own regions", k, len(seen), wantK)
 		}
-		again := Assign(city.Partition, k)
+		again := shard.Assign(city.Partition, k)
 		for r := range owner {
 			if owner[r] != again[r] {
 				t.Fatalf("k=%d: assignment not deterministic at region %d", k, r)
@@ -195,7 +215,7 @@ func TestShardHandoffProperties(t *testing.T) {
 		for i := range city.Fleet {
 			city.Fleet[i].InitialSoC = 0.3
 		}
-		env := New(city, sim.DefaultOptions(1), tc.shards, tc.seed)
+		env := sim.New(city, sim.DefaultOptions(1), tc.shards, tc.seed)
 
 		initial := make([]float64, cfg.Fleet)
 		for i := 0; i < cfg.Fleet; i++ {
@@ -247,7 +267,7 @@ func TestShardResultsMatchAcrossSeeds(t *testing.T) {
 			city.Fleet[i].InitialSoC = 0.3
 		}
 		run := func(shards int) string {
-			env := New(city, sim.DefaultOptions(1), shards, seed)
+			env := sim.New(city, sim.DefaultOptions(1), shards, seed)
 			var events []trace.Event
 			env.SetRecorder(func(ev trace.Event) { events = append(events, ev) })
 			env.Reset(seed)

@@ -7,12 +7,18 @@ import (
 	"repro/internal/telemetry"
 )
 
+// EngineTag names the engine generation whose trajectories a training run
+// depends on. Learners fold it into their checkpoint fingerprints, so a
+// training checkpoint written against a different engine fails closed
+// instead of resuming onto a different trajectory.
+const EngineTag = "engine=core"
+
 // Environment is the simulation surface policies and harnesses run against.
-// Two engines implement it: the original sequential *Env (the byte-compat
-// reference whose behavior the golden traces pin) and the region-sharded
-// shard.Engine (kernel.go provides its pure state-transition core). Every
-// method is single-goroutine: callers interleave reads and Step from one
-// goroutine, exactly as with *Env.
+// The engine built by New implements it; the interface exists so harnesses
+// can wrap the engine (instrumentation probes, fault injectors) without the
+// policies they drive knowing. Every method is single-goroutine: callers
+// interleave reads and Step from one goroutine; Step alone fans out across
+// the engine's shards internally.
 type Environment interface {
 	// City returns the underlying synthetic city.
 	City() *synth.City
@@ -65,32 +71,11 @@ type Environment interface {
 
 	// SetHooks installs (or, with nil, removes) a perturbation engine.
 	SetHooks(h Hooks)
-	// Hooks returns the installed perturbation engine, or nil.
-	Hooks() Hooks
 	// SetRecorder installs (or, with nil, removes) the event recorder.
 	SetRecorder(r Recorder)
 	// SetTelemetry installs (or, with nil, removes) a metrics registry.
 	SetTelemetry(r *telemetry.Registry)
 }
 
-// Both engines must satisfy the full surface.
-var _ Environment = (*Env)(nil)
-
-// EnvBuilder constructs a fresh Environment over a city — the seam through
-// which trainers and the system facade choose an engine (sequential vs
-// sharded) without the call sites caring. NewEnvBuilder is the default.
-type EnvBuilder func(city *synth.City, opts Options, seed int64) Environment
-
-// NewEnvBuilder is the EnvBuilder for the original sequential engine.
-func NewEnvBuilder(city *synth.City, opts Options, seed int64) Environment {
-	return New(city, opts, seed)
-}
-
-// BuildEnv invokes b, defaulting a nil builder to the sequential engine —
-// the resolution rule every trainer applies to its optional Env field.
-func BuildEnv(b EnvBuilder, city *synth.City, opts Options, seed int64) Environment {
-	if b == nil {
-		return New(city, opts, seed)
-	}
-	return b(city, opts, seed)
-}
+// The engine implements the full surface.
+var _ Environment = (*Core)(nil)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/forecast"
@@ -13,8 +12,8 @@ import (
 // RefObserver rebuilds observations from scratch on every call: each
 // feature recomputed from engine state in the original per-taxi order,
 // fleet scans included, no per-slot or per-region caching, with its own
-// GPS-dropout memory. Tests compare the engines' Observe against it bit for
-// bit. Create a fresh one after Reset, as the engines drop their dropout
+// GPS-dropout memory. Tests compare the engine's Observe against it bit for
+// bit. Create a fresh one after Reset, as the engine drops its dropout
 // memory there.
 type RefObserver struct {
 	stale map[int][]float64
@@ -36,18 +35,9 @@ type refState struct {
 	hooks        Hooks
 }
 
-// Observe builds taxi id's observation on env, which must be a *Env or a
-// *Core (a sharded engine's embedded core).
-func (r *RefObserver) Observe(env any, id int) Observation {
-	var s refState
-	switch e := env.(type) {
-	case *Env:
-		s = refState{e.city, e.opts, e.predictor, e.slotLen, e.nowMin, e.taxis, e.stations, e.nearStations, e.hooks}
-	case *Core:
-		s = refState{e.city, e.opts, e.predictor, e.slotLen, e.nowMin, e.taxis, e.stations, e.nearStations, e.hooks}
-	default:
-		panic(fmt.Sprintf("sim: RefObserver cannot read %T", env))
-	}
+// Observe builds taxi id's observation on e.
+func (r *RefObserver) Observe(e *Core, id int) Observation {
+	s := refState{e.city, e.opts, e.predictor, e.slotLen, e.nowMin, e.taxis, e.stations, e.nearStations, e.hooks}
 	return r.observe(&s, id)
 }
 

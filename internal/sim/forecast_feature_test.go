@@ -16,7 +16,7 @@ func TestNoForecastFeatureZeroes(t *testing.T) {
 	}
 	opts := DefaultOptions(1)
 	opts.NoForecastFeature = true
-	e := New(city, opts, 50)
+	e := New(city, opts, 1, 50)
 	for _, id := range e.VacantTaxis()[:5] {
 		obs := e.Observe(id)
 		if obs.Features[forecastFeatureIndex] != 0 {
@@ -32,7 +32,7 @@ func TestLearnedForecastColdThenWarm(t *testing.T) {
 	}
 	opts := DefaultOptions(2)
 	opts.LearnedForecast = true
-	e := New(city, opts, 51)
+	e := New(city, opts, 1, 51)
 
 	// Cold: the predictor has seen nothing, so forecasts are the prior (0).
 	id := e.VacantTaxis()[0]
@@ -63,7 +63,7 @@ func TestLearnedForecastResetsWithEnv(t *testing.T) {
 	}
 	opts := DefaultOptions(1)
 	opts.LearnedForecast = true
-	e := New(city, opts, 52)
+	e := New(city, opts, 1, 52)
 	for i := 0; i < 20; i++ {
 		e.Step(nil)
 	}
@@ -79,7 +79,7 @@ func TestOracleForecastPositiveInBusyRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 53)
+	e := New(city, DefaultOptions(1), 1, 53)
 	var any bool
 	for _, id := range e.VacantTaxis() {
 		if e.Observe(id).Features[forecastFeatureIndex] > 0 {

@@ -1,9 +1,9 @@
 package sim
 
-// Extended-hook fault-injection tests: the optional ExtendedHooks tier
-// (weather speed scaling, TOU tariff shifts, shift-change off-duty
-// windows, battery-cohort consumption factors) exercised in isolation
-// through a stub, mirroring hooks_test.go for the base tier.
+// Fault-injection tests for the weather, tariff, shift-change and
+// consumption channels of Hooks (weather speed scaling, TOU tariff shifts,
+// shift-change off-duty windows, battery-cohort consumption factors),
+// exercised in isolation through stubHooks like hooks_test.go.
 
 import (
 	"math"
@@ -13,54 +13,17 @@ import (
 	"repro/internal/trace"
 )
 
-// extStubHooks layers the extended methods over stubHooks; nil fields mean
-// "identity" so each channel can be perturbed alone.
-type extStubHooks struct {
-	stubHooks
-	speed       func(region, minute int) float64
-	tariff      func(minute int) float64
-	offDuty     func(taxi, minute int) bool
-	consumption func(taxi int) float64
-}
-
-func (h extStubHooks) SpeedScale(r, m int) float64 {
-	if h.speed == nil {
-		return 1
-	}
-	return h.speed(r, m)
-}
-
-func (h extStubHooks) TariffScale(m int) float64 {
-	if h.tariff == nil {
-		return 1
-	}
-	return h.tariff(m)
-}
-
-func (h extStubHooks) OffDuty(taxi, m int) bool {
-	return h.offDuty != nil && h.offDuty(taxi, m)
-}
-
-func (h extStubHooks) ConsumptionFactor(taxi int) float64 {
-	if h.consumption == nil {
-		return 1
-	}
-	return h.consumption(taxi)
-}
-
-var _ ExtendedHooks = extStubHooks{}
-
-func extTestEnv(t *testing.T, seed int64) *Env {
+func extTestEnv(t *testing.T, seed int64) *Core {
 	t.Helper()
 	city, err := synth.Build(synth.TestConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(city, DefaultOptions(1), seed)
+	return New(city, DefaultOptions(1), 1, seed)
 }
 
-// Installing extended hooks that answer only identities must not perturb
-// the trajectory: the trace digest equals a plain unhooked run's digest.
+// Installing hooks that answer only identities on every channel must not
+// perturb the trajectory: the trace digest equals an unhooked run's digest.
 func TestExtendedIdentityHooksAreTransparent(t *testing.T) {
 	digest := func(h Hooks) string {
 		e := extTestEnv(t, 31)
@@ -73,8 +36,8 @@ func TestExtendedIdentityHooksAreTransparent(t *testing.T) {
 		return trace.DigestEvents(events)
 	}
 	plain := digest(nil)
-	if got := digest(extStubHooks{}); got != plain {
-		t.Fatalf("identity extended hooks perturbed the run: %s vs %s", got, plain)
+	if got := digest(stubHooks{}); got != plain {
+		t.Fatalf("identity hooks perturbed the run: %s vs %s", got, plain)
 	}
 }
 
@@ -90,7 +53,7 @@ func TestSpeedScaleSlowsService(t *testing.T) {
 		return e.Results()
 	}
 	clean := run(nil)
-	slowed := run(extStubHooks{speed: func(r, m int) float64 { return 0.4 }})
+	slowed := run(stubHooks{speed: func(r, m int) float64 { return 0.4 }})
 	if slowed.ServedRequests >= clean.ServedRequests {
 		t.Fatalf("60%% slowdown served %d >= clean %d", slowed.ServedRequests, clean.ServedRequests)
 	}
@@ -108,7 +71,7 @@ func TestTariffScaleScalesCostOnly(t *testing.T) {
 		return e.Results()
 	}
 	clean := run(nil)
-	shifted := run(extStubHooks{tariff: func(m int) float64 { return 2 }})
+	shifted := run(stubHooks{tariff: func(m int) float64 { return 2 }})
 	if len(shifted.ChargeStats) != len(clean.ChargeStats) {
 		t.Fatalf("tariff shift changed session count: %d vs %d", len(shifted.ChargeStats), len(clean.ChargeStats))
 	}
@@ -136,7 +99,7 @@ func TestOffDutyExcludesFromMatching(t *testing.T) {
 	for i := range e.city.Fleet {
 		e.city.Fleet[i].InitialSoC = 0.25
 	}
-	e.SetHooks(extStubHooks{offDuty: func(taxi, m int) bool { return true }})
+	e.SetHooks(stubHooks{offDuty: func(taxi, m int) bool { return true }})
 	runStay(e)
 	res := e.Results()
 	if res.ServedRequests != 0 {
@@ -160,7 +123,7 @@ func TestConsumptionFactorAppliedAtReset(t *testing.T) {
 	for i := range e.city.Fleet {
 		base[i] = e.city.NewBattery(e.city.Fleet[i]).ConsumptionPerKm
 	}
-	e.SetHooks(extStubHooks{consumption: func(taxi int) float64 {
+	e.SetHooks(stubHooks{consumption: func(taxi int) float64 {
 		if taxi%2 == 0 {
 			return 1.25
 		}
@@ -192,7 +155,7 @@ func TestShiftChangeWindowIsScoped(t *testing.T) {
 		return e.Results()
 	}
 	clean := run(nil)
-	half := run(extStubHooks{offDuty: func(taxi, m int) bool { return m < 720 }})
+	half := run(stubHooks{offDuty: func(taxi, m int) bool { return m < 720 }})
 	if half.ServedRequests == 0 || half.ServedRequests >= clean.ServedRequests {
 		t.Fatalf("half-day shift change served %d (clean %d); want strictly between",
 			half.ServedRequests, clean.ServedRequests)

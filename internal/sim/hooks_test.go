@@ -21,6 +21,11 @@ type stubHooks struct {
 	fare    func(region, minute int) float64
 	stale   func(region, minute int) bool
 	battery func(taxi int) float64
+
+	speed       func(region, minute int) float64
+	tariff      func(minute int) float64
+	offDuty     func(taxi, minute int) bool
+	consumption func(taxi int) float64
 }
 
 func (h stubHooks) StationClosed(s, m int) bool {
@@ -59,6 +64,31 @@ func (h stubHooks) BatteryFactor(i int) float64 {
 	return h.battery(i)
 }
 
+func (h stubHooks) SpeedScale(r, m int) float64 {
+	if h.speed == nil {
+		return 1
+	}
+	return h.speed(r, m)
+}
+
+func (h stubHooks) TariffScale(m int) float64 {
+	if h.tariff == nil {
+		return 1
+	}
+	return h.tariff(m)
+}
+
+func (h stubHooks) OffDuty(taxi, m int) bool {
+	return h.offDuty != nil && h.offDuty(taxi, m)
+}
+
+func (h stubHooks) ConsumptionFactor(taxi int) float64 {
+	if h.consumption == nil {
+		return 1
+	}
+	return h.consumption(taxi)
+}
+
 func TestOutageDivertsArrivals(t *testing.T) {
 	city, err := synth.Build(synth.TestConfig(21))
 	if err != nil {
@@ -67,7 +97,7 @@ func TestOutageDivertsArrivals(t *testing.T) {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.25 // everyone needs to charge soon
 	}
-	e := New(city, DefaultOptions(1), 21)
+	e := New(city, DefaultOptions(1), 1, 21)
 
 	// Run once clean to find the busiest station, then close it all day.
 	runStay(e)
@@ -111,7 +141,7 @@ func TestStationClosedRespectsWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 22)
+	e := New(city, DefaultOptions(1), 1, 22)
 	e.SetHooks(stubHooks{closed: func(s, m int) bool {
 		return s == 0 && m >= 100 && m < 200
 	}})
@@ -131,7 +161,7 @@ func TestHooksPersistAcrossReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 23)
+	e := New(city, DefaultOptions(1), 1, 23)
 	e.SetHooks(stubHooks{closed: func(s, m int) bool { return s == 0 }})
 	e.Reset(23)
 	if !e.stationClosed(0, 100) {
@@ -151,7 +181,7 @@ func TestIdentityHooksMatchCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 31)
+	e := New(city, DefaultOptions(1), 1, 31)
 	var clean []trace.Event
 	e.SetRecorder(func(ev trace.Event) { clean = append(clean, ev) })
 	runStay(e)
@@ -181,7 +211,7 @@ func TestDemandScaleZeroSilencesCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 32)
+	e := New(city, DefaultOptions(1), 1, 32)
 	e.SetHooks(stubHooks{demand: func(r, m int) float64 { return 0 }})
 	e.Reset(32)
 	runStay(e)
@@ -199,7 +229,7 @@ func TestFareScaleDoublesRevenue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 33)
+	e := New(city, DefaultOptions(1), 1, 33)
 	runStay(e)
 	base := e.Results()
 
@@ -232,7 +262,7 @@ func TestObsStaleFreezesFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 34)
+	e := New(city, DefaultOptions(1), 1, 34)
 	staleNow := false
 	e.SetHooks(stubHooks{stale: func(r, m int) bool { return staleNow }})
 	e.Reset(34)
@@ -273,7 +303,7 @@ func TestBatteryFactorAppliedAtReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 35)
+	e := New(city, DefaultOptions(1), 1, 35)
 	healthy := make([]float64, len(e.taxis))
 	for i := range e.taxis {
 		healthy[i] = e.taxis[i].batt.CapacityKWh
@@ -317,7 +347,7 @@ func TestDerateSerializesCharging(t *testing.T) {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.25
 	}
-	e := New(city, DefaultOptions(1), 36)
+	e := New(city, DefaultOptions(1), 1, 36)
 	e.SetHooks(stubHooks{derate: func(s, m int) int {
 		return e.City().Stations.Station(s).Points - 1
 	}})

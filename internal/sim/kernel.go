@@ -1,12 +1,12 @@
 package sim
 
-// The region-sharded state-transition core. Core holds the shared world
-// state (fleet, stations, demand, accounting) and splits the city's regions
-// across K kernels; each kernel advances only the taxis it owns, so a driver
-// (internal/shard.Engine) can run kernels concurrently within a slot and
-// synchronize at deterministic barriers. Every RNG stream is split per
-// region or per station, never per kernel, so the realization is identical
-// for any K — shards=1 and shards=N produce byte-identical traces.
+// The simulation engine. Core holds the world state (fleet, stations,
+// demand, accounting) and splits the city's regions across K kernels (shard
+// count, default 1); each kernel advances only the taxis it owns, so Step
+// can run kernels concurrently within a slot and synchronize at
+// deterministic barriers. Every RNG stream is split per region or per
+// station, never per kernel, so the realization is identical for any K —
+// shards=1 and shards=N produce byte-identical traces.
 //
 // Ownership rule: a taxi belongs to the kernel owning its current region.
 // Region changes that can cross a shard cut happen at barriers only:
@@ -19,45 +19,32 @@ package sim
 //	                      routed at the end-of-slot barrier (it cannot be
 //	                      matched or act before the next slot anyway).
 //
-// Time-driven transitions run off a per-kernel event calendar (a min-heap
-// of wake-ups) plus a sorted active-charging list, so a minute costs
-// O(events) instead of the sequential engine's O(fleet) sweep. Stale
-// wake-ups are tolerated: dispatch re-checks state and time.
+// Time-driven transitions run off a per-kernel event calendar plus a sorted
+// active-charging list, so a minute costs O(events) instead of an O(fleet)
+// sweep. Stale wake-ups are tolerated: dispatch re-checks state and time.
 //
-// Known, deliberate divergences from the sequential *Env (the golden-trace
-// reference is unaffected; the sharded engine pins its own goldens):
-//
-//   - Every plug-in integrates its first charging minute at m+1. The
-//     sequential engine lets a queue promotion charge in the same minute
-//     when the promoted ID is larger than the finisher's — an ID-order
-//     artifact a parallel engine cannot reproduce independently of K.
-//   - Charge replanning reads queue pressure from a once-per-slot snapshot
-//     of every station rather than live values, because live reads of
-//     another shard's stations would depend on scheduling. Balking still
-//     reads the (always-local) target station live.
-//   - Matching, demand, and charge-target jitter draw from per-region and
-//     per-station streams instead of two global ones.
-//   - Demand sampling picks destinations from a gravity alias table, places
-//     points by triangle-fan decomposition instead of rejection sampling,
-//     and measures trips equirectangularly. Same per-region stream; the draw
-//     sequence differs from the sequential engine's linear forms.
-//   - Matching breaks equal vacancy ages toward the lowest taxi ID (one
-//     up-front sort) instead of the sequential engine's scan-order tie under
-//     swap-removal. Both rules are pure functions of region state.
+// Two rules keep the trajectory independent of K. Every plug-in integrates
+// its first charging minute at m+1, so a queue promotion never charges in
+// the minute it was freed. Charge replanning reads queue pressure from a
+// once-per-slot snapshot of every station rather than live values, because
+// live reads of another shard's stations would depend on scheduling;
+// balking still reads the (always-local) target station live.
 
 import (
-	"fmt"
+	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/demand"
 	"repro/internal/forecast"
 	"repro/internal/geo"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/station"
 	"repro/internal/synth"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -137,7 +124,7 @@ func (s ownSet) forEach(f func(id int)) {
 // kernel is the per-shard slice of the world: the taxis, regions, and
 // stations one shard owns, plus its calendar and per-slot result buffers.
 // All mutation of owned state happens here; the buffers are drained by
-// Core.FinishSlot under the slot barrier.
+// Core.finishSlot under the slot barrier.
 type kernel struct {
 	c   *Core
 	idx int
@@ -150,7 +137,7 @@ type kernel struct {
 	charging    []int // taxis integrating charge, ascending
 	pendingPlug []int // plugged this minute; first charge minute is m+1
 	pending     map[int][]demand.Request
-	outbox      []int // emigrants awaiting RouteMigrants
+	outbox      []int // emigrants awaiting routeMigrants
 
 	// scratch, reused across slots
 	due          []int
@@ -161,7 +148,7 @@ type kernel struct {
 	reqScratch   []demand.Request
 	rateNow      float64 // tariff rate of the minute being swept
 
-	// per-slot result buffers, drained serially in FinishSlot
+	// per-slot result buffers, drained serially in finishSlot
 	events       []trace.Event
 	trips        []TripStat
 	charges      []trace.ChargingEvent
@@ -172,11 +159,11 @@ type kernel struct {
 	chargeStarts [24]int
 }
 
-// Core is the shared state of a sharded simulation. It implements every
-// sim.Environment method except Step; the driver in internal/shard supplies
-// Step by sequencing the phase methods (BeginSlotApply, GenerateAndMatch,
-// SnapshotLoads, RunMinute, EndSlot — parallel per kernel) around the serial
-// barriers (RouteMigrants, FinishSlot).
+// Core is the simulation engine: the shared world state plus the kernels
+// that advance it. It implements Environment; Step sequences the phase
+// methods (beginSlotApply, generateAndMatch, runMinute, endSlot — parallel
+// per kernel) around the serial barriers (routeMigrants, snapshotLoads,
+// finishSlot).
 type Core struct {
 	city *synth.City
 	opts Options
@@ -208,9 +195,9 @@ type Core struct {
 	closedNow []bool
 
 	hooks     Hooks
-	xh        ExtendedHooks
 	rec       Recorder
 	tel       simTel
+	ptel      phaseTel
 	predictor *forecast.Predictor
 
 	res            Results
@@ -235,8 +222,19 @@ type Core struct {
 	mergeEvents  []trace.Event
 	keyBuf       []uint64
 
+	// Phase closures, allocated once: Step hands each phase to each as a
+	// func value, and a closure literal built inside Step escapes — at one
+	// allocation per phase per call that was the driver's entire
+	// steady-state allocation budget. The closures read their per-call
+	// parameters (actions, the minute cursor) from the two fields below,
+	// which Step writes between barriers; under multi-shard fan-out the
+	// writes happen-before the goroutine launches that read them.
+	beginFn, genFn, minuteFn, endFn func(k int)
+	stepActions                     map[int]Action
+	stepMinute                      int
+
 	// Reusable hot-path scratch: the VacantTaxis result buffer and
-	// RouteMigrants' gather slice.
+	// routeMigrants' gather slice.
 	vacantBuf  []int
 	migrantBuf []int
 
@@ -249,7 +247,7 @@ type Core struct {
 
 	// Per-slot stat chunks. Appending every slot's trips onto one long
 	// slice costs an amortized-doubling memmove of the whole history; at
-	// full scale that realloc traffic dominates FinishSlot. Chunks bound
+	// full scale that realloc traffic dominates finishSlot. Chunks bound
 	// the copying to exactly twice per record: once into its chunk here,
 	// once into the flat snapshot Results builds on demand.
 	tripChunks   [][]TripStat
@@ -258,31 +256,23 @@ type Core struct {
 	chargeCount  int
 }
 
-// NewCore builds a sharded core over city. regionOwner maps every region to
-// a kernel index in [0, K); taxis, stations, demand, and matching for a
-// region are advanced by its owning kernel. It panics on an invalid
-// assignment (a programming error in the driver).
-func NewCore(city *synth.City, opts Options, regionOwner []int, seed int64) *Core {
+// New builds the simulation engine over city with the given shard count
+// (clamped to [1, regions]; 0 means 1) and resets it with seed. Shards only
+// change wall-clock: the trajectory is byte-identical for every count.
+func New(city *synth.City, opts Options, shards int, seed int64) *Core {
 	opts.fillDefaults()
-	n := city.Partition.Len()
-	if len(regionOwner) != n {
-		panic(fmt.Sprintf("sim: regionOwner covers %d regions, city has %d", len(regionOwner), n))
-	}
+	regionOwner := shard.Assign(city.Partition, shards)
 	k := 0
-	for r, o := range regionOwner {
-		if o < 0 {
-			panic(fmt.Sprintf("sim: region %d has negative owner %d", r, o))
-		}
-		if o+1 > k {
-			k = o + 1
-		}
+	for _, o := range regionOwner {
+		k = max(k, o+1)
 	}
 	c := &Core{
 		city:        city,
 		opts:        opts,
 		slotLen:     city.Config.SlotMinutes,
-		regionOwner: append([]int(nil), regionOwner...),
+		regionOwner: regionOwner,
 	}
+	n := city.Partition.Len()
 	c.nearStations = make([][]geo.Neighbor, n)
 	for r := 0; r < n; r++ {
 		c.nearStations[r] = city.Stations.Nearest(city.Partition.Region(r).Centroid, KStations)
@@ -300,8 +290,86 @@ func NewCore(city *synth.City, opts Options, regionOwner []int, seed int64) *Cor
 		kn := c.kernels[regionOwner[city.Stations.Station(sid).Region]]
 		kn.stationIDs = append(kn.stationIDs, sid)
 	}
+	c.beginFn = func(k int) { c.beginSlotApply(k, c.stepActions) }
+	c.genFn = c.generateAndMatch
+	c.minuteFn = func(k int) { c.runMinute(k, c.stepMinute) }
+	c.endFn = c.endSlot
 	c.Reset(seed)
 	return c
+}
+
+// Step applies one displacement action per vacant taxi (missing entries
+// default to Stay), generates and matches the slot's passenger demand, and
+// advances the world by one time slot. It panics if the episode is done.
+// Each phase runs once per kernel between serial barriers:
+//
+//	apply actions   (parallel)  ─┐
+//	route migrants  (barrier)    │ taxis retargeted across the cut
+//	generate+match  (parallel)   │ per-region demand and match streams
+//	snapshot loads  (barrier)    │ queue pressure for the slot's replans
+//	per minute:                  │
+//	  run minute    (parallel)   │ calendar + charging sweeps
+//	  route migrants(barrier)    │ balk/replan redirects across the cut
+//	end slot        (parallel)   │ crawl drain, dropoff migrants
+//	route + finish  (barrier)   ─┘ canonical merge, clock advance
+func (c *Core) Step(actions map[int]Action) {
+	if c.Done() {
+		panic("sim: Step after Done")
+	}
+	c.stepActions = actions
+	stop := c.ptel.begin.Start()
+	c.each(c.beginFn)
+	stop()
+	c.stepActions = nil
+	stop = c.ptel.route.Start()
+	c.routeMigrants()
+	stop()
+	stop = c.ptel.gen.Start()
+	c.each(c.genFn)
+	c.snapshotLoads()
+	stop()
+	start := c.nowMin
+	for m := start; m < start+c.slotLen; m++ {
+		c.stepMinute = m
+		stop = c.ptel.minute.Start()
+		c.each(c.minuteFn)
+		stop()
+		stop = c.ptel.route.Start()
+		c.routeMigrants()
+		stop()
+	}
+	stop = c.ptel.end.Start()
+	c.each(c.endFn)
+	stop()
+	stop = c.ptel.route.Start()
+	c.routeMigrants()
+	c.finishSlot()
+	stop()
+}
+
+// each runs a phase once per kernel, returning only after all finish.
+// Kernels run inline, in order, when single-sharded or when the runtime has
+// a single scheduler thread — phase results are independent of interleaving
+// (that is the invariance battery's whole claim), and on one P the goroutine
+// fan-out is pure barrier overhead. Otherwise it is one goroutine per
+// kernel.
+func (c *Core) each(f func(k int)) {
+	k := len(c.kernels)
+	if k == 1 || runtime.GOMAXPROCS(0) == 1 {
+		for i := 0; i < k; i++ {
+			f(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
+	}
+	wg.Wait()
 }
 
 // Shards returns the number of kernels.
@@ -405,8 +473,8 @@ func (c *Core) Reset(seed int64) {
 	c.peValid = false
 }
 
-// applyBatteryFactors scales each taxi's pack by its cohort factor and,
-// under ExtendedHooks, its consumption rate by the cohort's vehicle model.
+// applyBatteryFactors scales each taxi's pack by its cohort factor and its
+// consumption rate by the cohort's vehicle model.
 func (c *Core) applyBatteryFactors() {
 	if c.hooks == nil {
 		return
@@ -416,34 +484,32 @@ func (c *Core) applyBatteryFactors() {
 		if f := c.hooks.BatteryFactor(i); f > 0 && f != 1 {
 			b.CapacityKWh *= f
 		}
-		if c.xh != nil {
-			if f := c.xh.ConsumptionFactor(i); f > 0 && f != 1 {
-				b.ConsumptionPerKm *= f
-			}
+		if f := c.hooks.ConsumptionFactor(i); f > 0 && f != 1 {
+			b.ConsumptionPerKm *= f
 		}
 		c.taxis[i].batt = b
 	}
 }
 
-// speedScale returns the ExtendedHooks travel-speed multiplier for a
-// region at a minute, or exactly 1 when no extended hooks are installed.
+// speedScale returns the hooks' travel-speed multiplier for a region at a
+// minute, or exactly 1 when no hooks are installed.
 func (c *Core) speedScale(region, minute int) float64 {
-	if c.xh == nil {
+	if c.hooks == nil {
 		return 1
 	}
-	if f := c.xh.SpeedScale(region, minute); f > 0 {
+	if f := c.hooks.SpeedScale(region, minute); f > 0 {
 		return f
 	}
 	return 1
 }
 
-// tariffScale returns the ExtendedHooks charging-price multiplier at a
-// minute, or exactly 1 when no extended hooks are installed.
+// tariffScale returns the hooks' charging-price multiplier at a minute, or
+// exactly 1 when no hooks are installed.
 func (c *Core) tariffScale(minute int) float64 {
-	if c.xh == nil {
+	if c.hooks == nil {
 		return 1
 	}
-	if f := c.xh.TariffScale(minute); f > 0 {
+	if f := c.hooks.TariffScale(minute); f > 0 {
 		return f
 	}
 	return 1
@@ -451,21 +517,20 @@ func (c *Core) tariffScale(minute int) float64 {
 
 // offDuty reports whether the taxi sits out this minute on a shift change.
 func (c *Core) offDuty(taxi, minute int) bool {
-	return c.xh != nil && c.xh.OffDuty(taxi, minute)
+	return c.hooks != nil && c.hooks.OffDuty(taxi, minute)
 }
 
 // travelMinutes converts a road distance to whole driving minutes at the
-// traffic speed of minute m in the given region (see Env.travelMinutes —
-// the scaled rule is shared, so both engines slow down identically).
+// traffic speed of minute m in the given region, with a one-minute floor.
+// The region matters only under a weather perturbation.
+// An unperturbed scale is exactly 1, so the speed it multiplies is exact.
 func (c *Core) travelMinutes(distKm float64, region, m int) int {
-	if s := c.speedScale(region, m); s != 1 {
-		return travelMinutesScaled(distKm, m, s)
-	}
-	return travelMinutesAt(distKm, m)
+	speed := demand.SpeedKmh(hourAt(m)) * c.speedScale(region, m)
+	return max(int(math.Ceil(distKm/speed*60)), 1)
 }
 
-// stationClosedHook reports whether station rejects new arrivals at minute m.
-func (c *Core) stationClosedHook(station, m int) bool {
+// stationClosed reports whether station rejects new arrivals at minute m.
+func (c *Core) stationClosed(station, m int) bool {
 	return c.hooks != nil && c.hooks.StationClosed(station, m)
 }
 
@@ -493,8 +558,10 @@ func (c *Core) Done() bool { return c.nowMin >= c.endMin }
 func (c *Core) InvalidActions() int { return c.invalidActions }
 
 // VacantTaxis returns the IDs of taxis awaiting a displacement decision
-// this slot, ascending. The slice borrows a core-owned buffer rewritten by
-// the next call; see Env.VacantTaxis for the reuse contract.
+// this slot, ascending. The slice borrows an engine-owned buffer that the
+// next VacantTaxis call rewrites — within one slot every call produces
+// identical contents, so holding it across a single Step is safe, but
+// callers keeping IDs longer must copy.
 func (c *Core) VacantTaxis() []int {
 	out := c.vacantBuf[:0]
 	for i := range c.taxis {
@@ -524,8 +591,8 @@ func (c *Core) StationState(id int) *station.State { return c.stations[id] }
 // SlotProfit returns the net CNY earned by taxi id during the last Step.
 func (c *Core) SlotProfit(id int) float64 { return c.taxis[id].slotProfit }
 
-// PESoFar returns taxi id's cumulative profit efficiency (CNY/h), floored at
-// one on-duty hour, exactly as the sequential engine computes it.
+// PESoFar returns taxi id's cumulative profit efficiency (CNY/h) up to now,
+// with the on-duty denominator floored at one hour for stability.
 func (c *Core) PESoFar(id int) float64 {
 	a := &c.taxis[id].acct
 	d := a.OnDutyMin()
@@ -535,8 +602,9 @@ func (c *Core) PESoFar(id int) float64 {
 	return a.ProfitCNY() / (d / 60)
 }
 
-// FleetPEStats returns the mean and variance of the cumulative PE across
-// on-duty taxis, cached per slot (accounts change only inside Step).
+// FleetPEStats returns the mean and variance of the (floored) cumulative PE
+// across taxis that have been on duty — PF(t) of Eq. 3 evaluated mid-run —
+// cached per slot (accounts change only inside Step).
 func (c *Core) FleetPEStats() (mean, variance float64) {
 	slot := c.Slot()
 	if c.peValid && c.peSlot == slot {
@@ -565,35 +633,30 @@ func (c *Core) FleetPEStats() (mean, variance float64) {
 	return mean, variance
 }
 
-// ValidMask returns the action-validity mask for a taxi (see
-// Env.ValidMask).
+// ValidMask returns the action-validity mask for a taxi: charging is forced
+// below LowSoC, offered below AllowChargeSoC, and move actions exist only
+// for real neighbors.
 func (c *Core) ValidMask(id int) [NumActions]bool {
 	t := &c.taxis[id]
 	return c.masks[t.region].pick(t.batt.SoC, &c.opts)
 }
 
-// SetHooks installs (or, with nil, removes) a perturbation engine.
+// SetHooks installs (or, with nil, removes) a perturbation engine. Call it
+// before Reset: battery cohorts take effect when the fleet is rebuilt, and
+// policy.Evaluate resets the environment before every run. On a fresh
+// engine the fleet is re-derived at once, so cohorts apply even if the
+// caller steps without another Reset. Hooks persist across Reset.
 func (c *Core) SetHooks(h Hooks) {
 	c.hooks = h
-	c.xh, _ = h.(ExtendedHooks)
 	if c.nowMin == 0 {
 		c.applyBatteryFactors()
 	}
 }
 
-// Hooks returns the installed perturbation engine, or nil.
-func (c *Core) Hooks() Hooks { return c.hooks }
-
 // SetRecorder installs (or, with nil, removes) the event recorder. Events
 // are buffered per kernel during a slot and emitted in canonical order at
 // the slot barrier, so the stream is identical at any shard count.
 func (c *Core) SetRecorder(r Recorder) { c.rec = r }
-
-// SetTelemetry installs (or, with nil, removes) a metrics registry. All
-// counters and histograms are atomic, so kernels write them concurrently;
-// every count is a pure function of the trajectory and therefore identical
-// at any shard count.
-func (c *Core) SetTelemetry(r *telemetry.Registry) { c.tel = newSimTel(r) }
 
 // Results returns the accounting of the run as a stable snapshot.
 func (c *Core) Results() *Results {
@@ -621,11 +684,11 @@ func (c *Core) Results() *Results {
 
 // --- Phase methods (parallel per kernel between barriers) --------------------
 
-// BeginSlotApply clears kernel k's per-slot profit accumulators and applies
+// beginSlotApply clears kernel k's per-slot profit accumulators and applies
 // one displacement action per owned vacant taxi (missing entries default to
 // Stay). Safe to run concurrently across kernels: it touches only owned
 // taxis and the kernel's own buffers.
-func (c *Core) BeginSlotApply(k int, actions map[int]Action) {
+func (c *Core) beginSlotApply(k int, actions map[int]Action) {
 	kn := c.kernels[k]
 	kn.owned.forEach(func(id int) {
 		// One fused scan: applyAction touches only the acting taxi, so
@@ -650,11 +713,11 @@ func (c *Core) BeginSlotApply(k int, actions map[int]Action) {
 	})
 }
 
-// GenerateAndMatch samples kernel k's per-region demand for the slot,
+// generateAndMatch samples kernel k's per-region demand for the slot,
 // expires stale requests, and matches the rest oldest-first within each
 // region. Regions are processed in ascending ID order; each draws from its
 // own demand and match streams, so the outcome is independent of K.
-func (c *Core) GenerateAndMatch(k int) {
+func (c *Core) generateAndMatch(k int) {
 	kn := c.kernels[k]
 	slotStart := c.nowMin
 	slot := slotStart / c.slotLen
@@ -677,12 +740,7 @@ func (c *Core) GenerateAndMatch(k int) {
 		if c.hooks != nil {
 			factor = c.hooks.DemandScale(r, slotStart)
 		}
-		// The fast sampler draws destinations from a gravity alias table and
-		// places points by triangle fan — O(1) per request on the same
-		// per-region stream. Its divergence from the sequential engine's
-		// linear forms is one of the kernel's documented departures; shard
-		// invariance is untouched because every K uses it.
-		kn.reqBuf = c.city.Demand.SampleRegionScaledFast(kn.reqBuf[:0], c.demandSrc[r], r, slotStart, c.slotLen, factor)
+		kn.reqBuf = c.city.Demand.SampleRegionScaled(kn.reqBuf[:0], c.demandSrc[r], r, slotStart, c.slotLen, factor)
 		reqs := kn.reqBuf
 		// Region r is owned by exactly this kernel, so the per-region demand
 		// tally is a race-free direct write.
@@ -725,29 +783,29 @@ func (c *Core) GenerateAndMatch(k int) {
 	}
 }
 
-// SnapshotLoads records every station's queue pressure for the slot's
+// snapshotLoads records every station's queue pressure for the slot's
 // replanning decisions. Serial: runs under the post-match barrier.
-func (c *Core) SnapshotLoads() {
+func (c *Core) snapshotLoads() {
 	for i, st := range c.stations {
 		c.loads[i] = float64(st.QueueLen() - st.Free())
 	}
 }
 
-// RunMinute advances kernel k's owned world by one minute: station
+// runMinute advances kernel k's owned world by one minute: station
 // perturbations first (so same-minute arrivals see updated state), then the
 // merged calendar/charging sweep in ascending taxi ID, then activation of
 // this minute's plug-ins.
-func (c *Core) RunMinute(k, m int) {
+func (c *Core) runMinute(k, m int) {
 	kn := c.kernels[k]
 	kn.beginMinute(m)
 	kn.sweep(m)
 	kn.activatePlugs()
 }
 
-// EndSlot drains crawl energy for kernel k's cruising taxis and queues any
+// endSlot drains crawl energy for kernel k's cruising taxis and queues any
 // whose region now belongs to another kernel (post-dropoff migrants) for
 // routing at the slot barrier.
-func (c *Core) EndSlot(k int) {
+func (c *Core) endSlot(k int) {
 	kn := c.kernels[k]
 	slotEnd := c.nowMin + c.slotLen
 	kn.owned.forEach(func(id int) {
@@ -761,9 +819,9 @@ func (c *Core) EndSlot(k int) {
 	})
 }
 
-// RouteMigrants moves every outboxed taxi to the kernel owning its current
+// routeMigrants moves every outboxed taxi to the kernel owning its current
 // region, in ascending taxi ID order. Serial: runs only under barriers.
-func (c *Core) RouteMigrants() {
+func (c *Core) routeMigrants() {
 	all := c.migrantBuf[:0]
 	for _, kn := range c.kernels {
 		all = append(all, kn.outbox...)
@@ -784,10 +842,10 @@ func (c *Core) RouteMigrants() {
 	}
 }
 
-// FinishSlot merges every kernel's slot buffers in canonical order, emits
+// finishSlot merges every kernel's slot buffers in canonical order, emits
 // buffered events, advances the clock, and finalizes at the horizon.
 // Serial: runs under the end-of-slot barrier.
-func (c *Core) FinishSlot() {
+func (c *Core) finishSlot() {
 	slotEnd := c.nowMin + c.slotLen
 	c.mergeTrips = c.mergeTrips[:0]
 	c.mergeCharges = c.mergeCharges[:0]
@@ -898,7 +956,8 @@ func (c *Core) FinishSlot() {
 }
 
 // clearAccounting wipes all ledgers at the warmup boundary while keeping the
-// physical fleet state, mirroring the sequential engine.
+// physical fleet state (positions, batteries, queues, pending demand), so
+// metrics cover steady-state operation only.
 func (c *Core) clearAccounting() {
 	now := c.nowMin
 	for i := range c.taxis {
@@ -981,5 +1040,11 @@ func (c *Core) finalize() {
 			accrueCrawl(t, c.endMin, c.opts.CruiseSpeedKmh)
 		}
 		c.res.Accounts[i] = t.acct
+		// A last-slot match can set its pickup past the horizon, and serve
+		// accrues seek time up to the pickup: clip that overhang so no
+		// account covers more than the horizon.
+		if t.state == Serving && t.pickupMin > c.endMin {
+			c.res.Accounts[i].CruiseMin -= float64(t.pickupMin - c.endMin)
+		}
 	}
 }

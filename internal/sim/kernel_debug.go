@@ -1,6 +1,6 @@
 package sim
 
-// Verification surface of the sharded core: cross-shard handoff invariants
+// Verification surface of the engine: cross-shard handoff invariants
 // and conservation ledgers the property-test battery checks after every
 // barrier. None of this is on the hot path.
 
@@ -96,9 +96,3 @@ func (c *Core) PendingRequests() int {
 	}
 	return n
 }
-
-// RegionOwner returns the kernel index owning a region.
-func (c *Core) RegionOwner(region int) int { return c.regionOwner[region] }
-
-// TaxiOwner returns the kernel index currently owning a taxi.
-func (c *Core) TaxiOwner(id int) int { return c.taxiOwner[id] }

@@ -1,9 +1,9 @@
 package sim
 
-// Per-taxi transition rules of the sharded kernel. Each method mirrors the
-// sequential engine's semantics (env.go / hooks.go) except where the header
-// comment in kernel.go documents a deliberate divergence; any drift beyond
-// those is a bug the shard-invariance battery should catch.
+// Per-taxi transition rules of a kernel. Each method touches only taxis and
+// stations the kernel owns (or defers the cross-cut part to a barrier); a
+// rule that reads or writes another kernel's state is a bug the
+// shard-invariance battery should catch.
 
 import (
 	"math"
@@ -53,8 +53,8 @@ func (kn *kernel) adopt(id int) {
 }
 
 // applyAction executes a displacement decision for owned taxi id, coercing
-// mask-invalid submissions exactly as the sequential engine does. The
-// validity test is ValidMask's rule evaluated directly for the submitted
+// mask-invalid submissions to the nearest legal equivalent. The validity
+// test is ValidMask's rule evaluated directly for the submitted
 // action, skipping construction of the full mask on this per-taxi hot path.
 func (kn *kernel) applyAction(id int, a Action) {
 	c := kn.c
@@ -125,11 +125,9 @@ func (kn *kernel) applyAction(id int, a Action) {
 // pending buffer's emptied storage so no alias to reqs is created.
 // Serving a request mutates only the served taxi,
 // so every other candidate's state and vacancy age are frozen for the whole
-// call — one packed sort up front replaces the sequential engine's
-// O(reqs×cands) rescan, and each match pops the front of the sorted pool.
-// The lowest-ID tie-break is a pure function of region state (identical at
-// every shard count) but is one of the kernel's documented departures from
-// the sequential engine, whose tie falls to scan order under swap-removal.
+// call — one packed sort up front replaces an O(reqs×cands) rescan, and
+// each match pops the front of the sorted pool. The lowest-ID tie-break is
+// a pure function of region state, identical at every shard count.
 func (kn *kernel) matchRegion(r int, reqs, unmatched []demand.Request) []demand.Request {
 	c := kn.c
 	kn.keyBuf = kn.keyBuf[:0]
@@ -332,7 +330,7 @@ func (kn *kernel) dispatch(id, m int) {
 		}
 	case ToStation:
 		if m >= t.arriveMin {
-			if c.stationClosedHook(t.stationID, m) || kn.shouldBalk(t) {
+			if c.stationClosed(t.stationID, m) || kn.shouldBalk(t) {
 				t.balkCount++
 				c.tel.balks.Inc()
 				kn.replanCharge(t, m, trace.EvBalk)
@@ -356,7 +354,8 @@ func (kn *kernel) dispatch(id, m int) {
 }
 
 // shouldBalk reports whether the queue at t's (always owned) target station
-// is hopeless — same rule as the sequential engine.
+// is hopeless: drivers do not join queues of BalkFactor × the station's
+// points (at least 3), up to maxBalks redirects per charging attempt.
 func (kn *kernel) shouldBalk(t *taxi) bool {
 	c := kn.c
 	if c.opts.BalkFactor < 0 || t.balkCount >= maxBalks {
@@ -379,7 +378,7 @@ func (kn *kernel) replanCharge(t *taxi, m int, kind trace.EventKind) {
 	ns := c.nearStations[cur.Region]
 	best, bestLoad := -1, 0.0
 	for _, nb := range ns {
-		if nb.Label == t.stationID || c.stationClosedHook(nb.Label, m) {
+		if nb.Label == t.stationID || c.stationClosed(nb.Label, m) {
 			continue
 		}
 		load := c.loads[nb.Label] + nb.DistKm*0.1
@@ -392,7 +391,7 @@ func (kn *kernel) replanCharge(t *taxi, m int, kind trace.EventKind) {
 		A: t.stationID, B: best,
 	})
 	if best < 0 {
-		if !c.stationClosedHook(t.stationID, m) {
+		if !c.stationClosed(t.stationID, m) {
 			t.balkCount = maxBalks
 			if c.stations[t.stationID].Arrive(t.id) {
 				kn.beginCharge(t, m)

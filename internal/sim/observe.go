@@ -1,14 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"repro/internal/forecast"
-	"repro/internal/geo"
-	"repro/internal/station"
-	"repro/internal/synth"
-	"repro/internal/telemetry"
-)
+import "math"
 
 // Observation is the per-agent state of Section III-C: a local view (time
 // and location context) plus a global view (supply, charging availability,
@@ -34,7 +26,7 @@ const (
 	FeatureSize = featTime + featSelf + featOwnRegion + featNeighbors + featStations + featGlobal
 )
 
-// obsState is the observation storage both engines embed. Every feature
+// obsState is the engine's observation storage. Every feature
 // except the three self features is a pure function of the taxi's region
 // and the slot (the engine is static between Steps), so an observation is
 // built in two parts: the region's context row, computed at most once per
@@ -45,7 +37,7 @@ const (
 // driven by a policy that never observes pays nothing.
 type obsState struct {
 	// bufs holds one feature buffer per taxi, cut from one slab on the first
-	// Observe. Observation.Features borrows bufs[id] (see Env.Observe).
+	// Observe. Observation.Features borrows bufs[id] (see Core.Observe).
 	bufs [][]float64
 	// stale caches each taxi's last fresh features for GPS dropout windows;
 	// allocated on the first Observe under hooks.
@@ -77,43 +69,25 @@ func (o *obsState) reset() {
 	o.stale = nil
 }
 
-// obsView is the engine state a region context row reads. Both engines
-// hold the same state under different owners; the view lets one
-// implementation serve both.
-type obsView struct {
-	city         *synth.City
-	noForecast   bool
-	predictor    *forecast.Predictor // nil unless Options.LearnedForecast
-	slotLen, now int
-	taxis        []taxi
-	stations     []*station.State
-	nearStations [][]geo.Neighbor
-	staleObs     *telemetry.Counter
-}
-
-// obsEngine is implemented by both engines: their state as an obsView
-// (read only when a row is rebuilt or a stale observation is served), plus
-// the per-slot PE statistics and the action mask each engine computes
-// itself.
-type obsEngine interface {
-	obsView() obsView
-	FleetPEStats() (mean, variance float64)
-	PESoFar(id int) float64
-	ValidMask(id int) [NumActions]bool
-}
-
-// observe is the one observation path behind Env.Observe and
-// Core.Observe: copy the region's context row into taxi id's buffer, write
-// the self features, then apply the GPS-dropout stale path.
-func (o *obsState) observe(eng obsEngine, t *taxi, id, now, slotLen int, hooks Hooks) Observation {
-	if stamp := now/slotLen + 1; o.stamp == nil || o.stamp[t.region] != stamp {
-		o.buildRow(eng, t.region, stamp)
+// Observe builds the observation for a vacant taxi: copy the region's
+// context row into the taxi's buffer, write the self features, then apply
+// the GPS-dropout stale path. It is deterministic given the engine state.
+//
+// Features borrows a per-taxi buffer owned by the engine: it stays valid
+// until the same taxi is observed again. Within one slot repeated
+// observations rewrite identical bytes, so holding the slice across calls
+// in the same slot is safe; callers keeping features across Step (replay
+// buffers, demonstration logs) must copy them out.
+func (c *Core) Observe(id int) Observation {
+	o, t, now := &c.obs, &c.taxis[id], c.nowMin
+	if stamp := now/c.slotLen + 1; o.stamp == nil || o.stamp[t.region] != stamp {
+		c.buildRow(t.region, stamp)
 	}
 	f := append(o.bufs[id][:0], o.rows[t.region*FeatureSize:(t.region+1)*FeatureSize]...)
 
 	// Self.
-	meanPE, _ := eng.FleetPEStats()
-	peGap := (eng.PESoFar(id) - meanPE) / 50 // fairness signal
+	meanPE, _ := c.FleetPEStats()
+	peGap := (c.PESoFar(id) - meanPE) / 50 // fairness signal
 	vacancyAge := float64(now-t.vacantSinceMin) / 60
 	f[featTime] = t.batt.SoC
 	f[featTime+1] = clampF(peGap, -2, 2)
@@ -123,12 +97,12 @@ func (o *obsState) observe(eng obsEngine, t *taxi, id, now, slotLen int, hooks H
 	// features freeze at the last fresh observation — the policy decides on
 	// stale state. The action mask stays current: it encodes physical
 	// validity (battery, topology), not telemetry.
-	if hooks != nil {
+	if c.hooks != nil {
 		if o.stale == nil {
 			o.stale = make([][]float64, len(o.bufs))
 		}
-		if hooks.ObsStale(t.region, now) {
-			eng.obsView().staleObs.Inc()
+		if c.hooks.ObsStale(t.region, now) {
+			c.tel.staleObs.Inc()
 			if cached := o.stale[id]; cached != nil {
 				f = append(f[:0], cached...)
 			}
@@ -137,24 +111,24 @@ func (o *obsState) observe(eng obsEngine, t *taxi, id, now, slotLen int, hooks H
 		}
 	}
 	o.bufs[id] = f
-	return Observation{Features: f, Mask: eng.ValidMask(id)}
+	return Observation{Features: f, Mask: c.ValidMask(id)}
 }
 
 // buildRow writes region r's context row for the slot stamped stamp: the
 // whole feature layout, with zeros at the self features observe fills in
 // per taxi.
-func (o *obsState) buildRow(eng obsEngine, r, stamp int) {
-	v := eng.obsView()
+func (c *Core) buildRow(r, stamp int) {
+	o := &c.obs
 	if o.bufs == nil {
-		o.alloc(len(v.taxis), v.city.Partition.Len())
+		o.alloc(len(c.taxis), c.city.Partition.Len())
 	}
 	if o.slotStamp != stamp {
-		o.refreshSlot(&v)
+		c.refreshSlot()
 		o.slotStamp = stamp
 	}
 	row := o.rows[r*FeatureSize : (r+1)*FeatureSize : (r+1)*FeatureSize]
 	f := row[:0]
-	now := v.now
+	now := c.nowMin
 	dayFrac := float64(now%(24*60)) / (24 * 60)
 
 	// Time.
@@ -167,7 +141,7 @@ func (o *obsState) buildRow(eng obsEngine, r, stamp int) {
 	f = append(f, o.triples[3*r:3*r+3]...)
 
 	// Neighbor triples, zero-padded to MaxNeighbors.
-	nbs := v.city.Partition.Region(r).Neighbors
+	nbs := c.city.Partition.Region(r).Neighbors
 	for i := 0; i < MaxNeighbors; i++ {
 		if i < len(nbs) {
 			f = append(f, o.triples[3*nbs[i]:3*nbs[i]+3]...)
@@ -177,15 +151,15 @@ func (o *obsState) buildRow(eng obsEngine, r, stamp int) {
 	}
 
 	// Nearest stations.
-	ns := v.nearStations[r]
+	ns := c.nearStations[r]
 	for k := 0; k < KStations; k++ {
 		if k < len(ns) {
-			st := v.stations[ns[k].Label]
+			st := c.stations[ns[k].Label]
 			f = append(f,
 				float64(st.Free())/20,
 				float64(st.QueueLen())/10,
 				ns[k].DistKm/10,
-				v.city.Tariff.Rate(v.city.Tariff.BandAt(now))/2,
+				c.city.Tariff.Rate(c.city.Tariff.BandAt(now))/2,
 			)
 		} else {
 			f = append(f, 0, 0, 0, 0)
@@ -193,8 +167,8 @@ func (o *obsState) buildRow(eng obsEngine, r, stamp int) {
 	}
 
 	// Global aggregates.
-	n := float64(len(v.taxis))
-	band := float64(v.city.Tariff.BandAt(now)) / 2
+	n := float64(len(c.taxis))
+	band := float64(c.city.Tariff.BandAt(now)) / 2
 	f = append(f, float64(o.vacant)/n, float64(o.queued)/n, band)
 
 	if len(f) != FeatureSize {
@@ -222,79 +196,35 @@ func (o *obsState) alloc(taxis, regions int) {
 // recomputes every region's (supply, forecast, fare) triple. The forecast
 // is the oracle expectation by default, the learned predictor under
 // Options.LearnedForecast, or zero under the ablation.
-func (o *obsState) refreshSlot(v *obsView) {
+func (c *Core) refreshSlot() {
+	o := &c.obs
 	clear(o.supply)
 	o.vacant, o.queued = 0, 0
-	for i := range v.taxis {
-		switch v.taxis[i].state {
+	for i := range c.taxis {
+		switch c.taxis[i].state {
 		case Cruising:
-			o.supply[v.taxis[i].region]++
+			o.supply[c.taxis[i].region]++
 			o.vacant++
 		case Queued, ToStation:
 			o.queued++
 		}
 	}
-	hour := hourAt(v.now)
+	now := c.nowMin
+	hour := hourAt(now)
 	for r, supply := range o.supply {
 		var forecast float64
 		switch {
-		case v.noForecast:
+		case c.opts.NoForecastFeature:
 			forecast = 0
-		case v.predictor != nil:
-			forecast = v.predictor.Predict(r, v.now/v.slotLen)
+		case c.predictor != nil:
+			forecast = c.predictor.Predict(r, now/c.slotLen)
 		default:
-			forecast = v.city.Demand.ExpectedSlotDemand(r, v.now, v.slotLen)
+			forecast = c.city.Demand.ExpectedSlotDemand(r, now, c.slotLen)
 		}
-		fare := v.city.Demand.ExpectedFare(r, hour)
+		fare := c.city.Demand.ExpectedFare(r, hour)
 		o.triples[3*r] = float64(supply) / 10
 		o.triples[3*r+1] = forecast / 10
 		o.triples[3*r+2] = fare / 100
-	}
-}
-
-// Observe builds the observation for a vacant taxi. It is deterministic
-// given the environment state.
-//
-// Features borrows a per-taxi buffer owned by the environment: it stays
-// valid until the same taxi is observed again. Within one slot repeated
-// observations rewrite identical bytes, so holding the slice across calls
-// in the same slot is safe; callers keeping features across Step (replay
-// buffers, demonstration logs) must copy them out.
-func (e *Env) Observe(id int) Observation {
-	return e.obs.observe(e, &e.taxis[id], id, e.nowMin, e.slotLen, e.hooks)
-}
-
-func (e *Env) obsView() obsView {
-	return obsView{
-		city:         e.city,
-		noForecast:   e.opts.NoForecastFeature,
-		predictor:    e.predictor,
-		slotLen:      e.slotLen,
-		now:          e.nowMin,
-		taxis:        e.taxis,
-		stations:     e.stations,
-		nearStations: e.nearStations,
-		staleObs:     e.tel.staleObs,
-	}
-}
-
-// Observe builds the observation for a vacant taxi with the same code
-// and borrow contract as Env.Observe.
-func (c *Core) Observe(id int) Observation {
-	return c.obs.observe(c, &c.taxis[id], id, c.nowMin, c.slotLen, c.hooks)
-}
-
-func (c *Core) obsView() obsView {
-	return obsView{
-		city:         c.city,
-		noForecast:   c.opts.NoForecastFeature,
-		predictor:    c.predictor,
-		slotLen:      c.slotLen,
-		now:          c.nowMin,
-		taxis:        c.taxis,
-		stations:     c.stations,
-		nearStations: c.nearStations,
-		staleObs:     c.tel.staleObs,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/synth"
 )
@@ -24,22 +23,16 @@ func obsCity(t *testing.T) *synth.City {
 	return city
 }
 
-// obsEngine is an engine under test plus the *Env or *Core the reference
-// observer reads.
+// obsEngine is an engine under test and its name.
 type obsEngine struct {
-	name  string
-	env   sim.Environment
-	inner any
+	name string
+	env  *sim.Core
 }
 
 func obsEngines(city *synth.City, opts sim.Options, seed int64) []obsEngine {
-	seq := sim.New(city, opts, seed)
-	k1 := shard.New(city, opts, 1, seed)
-	k3 := shard.New(city, opts, 3, seed)
 	return []obsEngine{
-		{"env", seq, seq},
-		{"core-k1", k1, k1.Core},
-		{"core-k3", k3, k3.Core},
+		{"core-k1", sim.New(city, opts, 1, seed)},
+		{"core-k3", sim.New(city, opts, 3, seed)},
 	}
 }
 
@@ -66,7 +59,7 @@ func checkSlot(t *testing.T, eng obsEngine, ref *sim.RefObserver) map[int]sim.Ac
 	actions := make(map[int]sim.Action, len(ids))
 	check := func(id int) {
 		got := eng.env.Observe(id)
-		want := ref.Observe(eng.inner, id)
+		want := ref.Observe(eng.env, id)
 		if !sameBits(got.Features, want.Features) || got.Mask != want.Mask {
 			t.Fatalf("%s slot %d taxi %d: cached observation differs from reference\n got  %v %v\n want %v %v",
 				eng.name, eng.env.Slot(), id, got.Features, got.Mask, want.Features, want.Mask)
@@ -102,8 +95,8 @@ func runChecked(t *testing.T, eng obsEngine, from, to int) {
 	}
 }
 
-// TestObserveMatchesReference pins the per-slot region context cache: on
-// both engines, under every forecast mode and under perturbations that
+// TestObserveMatchesReference pins the per-slot region context cache: at
+// one and three shards, under every forecast mode and under perturbations that
 // touch the stale path and station state, the cached Observe is bit-identical
 // to an uncached rebuild — over many slots, and again after Reset to a
 // different seed, when slot numbers (and so slot stamps) start over.
@@ -202,8 +195,8 @@ func TestObserveDistinctBuffers(t *testing.T) {
 		if !sameBits(oa.Features, keepA) {
 			t.Fatalf("%s: observing taxi %d rewrote taxi %d's features", eng.name, b, a)
 		}
-		if !sameBits(oa.Features, ref.Observe(eng.inner, a).Features) ||
-			!sameBits(ob.Features, ref.Observe(eng.inner, b).Features) {
+		if !sameBits(oa.Features, ref.Observe(eng.env, a).Features) ||
+			!sameBits(ob.Features, ref.Observe(eng.env, b).Features) {
 			t.Fatalf("%s: back-to-back observations differ from reference", eng.name)
 		}
 		if oa.Features[2] == ob.Features[2] {

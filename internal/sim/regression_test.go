@@ -14,7 +14,7 @@ func TestResultsSnapshotSurvivesReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 60)
+	e := New(city, DefaultOptions(1), 1, 60)
 	runStay(e)
 	first := e.Results()
 	served1 := first.ServedRequests
@@ -40,7 +40,7 @@ func TestWarmupExcludedFromAccounting(t *testing.T) {
 	}
 	opts := DefaultOptions(1)
 	opts.WarmupDays = 1
-	e := New(city, opts, 62)
+	e := New(city, opts, 1, 62)
 	runStay(e)
 	res := e.Results()
 	if res.Slots != 144 {
@@ -60,7 +60,7 @@ func TestRelocatingLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 63)
+	e := New(city, DefaultOptions(1), 1, 63)
 	id := e.VacantTaxis()[0]
 	from := e.TaxiRegion(id)
 	nbs := city.Partition.Region(from).Neighbors
@@ -88,13 +88,13 @@ func TestPatienceConservation(t *testing.T) {
 	}
 	opts := DefaultOptions(1)
 	opts.PatienceMin = 30 // three slots
-	e := New(city, opts, 64)
+	e := New(city, opts, 1, 64)
 	runStay(e)
 	res := e.Results()
 	// Conservation: served + unserved = all generated (pending flushed at
 	// the horizon). Generated count is recovered by re-running the demand
 	// stream through a second env with identical seed and summing.
-	e2 := New(city, opts, 64)
+	e2 := New(city, opts, 1, 64)
 	runStay(e2)
 	res2 := e2.Results()
 	if res.ServedRequests+res.UnservedRequests != res2.ServedRequests+res2.UnservedRequests {
@@ -116,7 +116,7 @@ func TestPatienceMonotonicity(t *testing.T) {
 	for _, patience := range []int{10, 30, 60} {
 		opts := DefaultOptions(1)
 		opts.PatienceMin = patience
-		e := New(city, opts, 65)
+		e := New(city, opts, 1, 65)
 		runStay(e)
 		served = append(served, e.Results().ServedRequests)
 	}
@@ -134,7 +134,7 @@ func TestCrawlEnergyDrainsPerSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 66)
+	e := New(city, DefaultOptions(1), 1, 66)
 	id := e.VacantTaxis()[0]
 	prev := e.TaxiSoC(id)
 	drops := 0
@@ -164,7 +164,7 @@ func TestChargeSessionsAlwaysTerminate(t *testing.T) {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.22
 	}
-	e := New(city, DefaultOptions(2), 67)
+	e := New(city, DefaultOptions(2), 1, 67)
 	runStay(e)
 	// Any taxi still plugged at the horizon is fine; what must not happen
 	// is a session older than ~4 hours (the longest possible full charge).

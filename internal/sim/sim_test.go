@@ -7,18 +7,18 @@ import (
 	"repro/internal/synth"
 )
 
-func testEnv(t *testing.T, days int) *Env {
+func testEnv(t *testing.T, days int) *Core {
 	t.Helper()
 	city, err := synth.Build(synth.TestConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(city, DefaultOptions(days), 1)
+	return New(city, DefaultOptions(days), 1, 1)
 }
 
 // runStay advances the whole horizon with everyone staying put (charging is
 // coerced automatically when forced).
-func runStay(e *Env) {
+func runStay(e *Core) {
 	for !e.Done() {
 		e.Step(nil)
 	}
@@ -112,7 +112,7 @@ func TestChargingHappensAndIsAccounted(t *testing.T) {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.25
 	}
-	e := New(city, DefaultOptions(1), 2)
+	e := New(city, DefaultOptions(1), 1, 2)
 	runStay(e)
 	res := e.Results()
 	if len(res.ChargeStats) == 0 {
@@ -155,7 +155,7 @@ func TestChargeDurationInPaperBand(t *testing.T) {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.22
 	}
-	e := New(city, DefaultOptions(1), 3)
+	e := New(city, DefaultOptions(1), 1, 3)
 	runStay(e)
 	res := e.Results()
 	if len(res.ChargeStats) == 0 {
@@ -306,7 +306,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *Results {
-		e := New(city, DefaultOptions(1), 7)
+		e := New(city, DefaultOptions(1), 1, 7)
 		runStay(e)
 		return e.Results()
 	}
@@ -380,7 +380,7 @@ func TestFirstCruiseTracking(t *testing.T) {
 	for i := range city.Fleet {
 		city.Fleet[i].InitialSoC = 0.22
 	}
-	e := New(city, DefaultOptions(2), 4)
+	e := New(city, DefaultOptions(2), 1, 4)
 	runStay(e)
 	res := e.Results()
 	mins, stations := res.FirstCruiseTimes()
@@ -426,7 +426,7 @@ func TestEnergyConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 5)
+	e := New(city, DefaultOptions(1), 1, 5)
 	initial := make([]float64, len(city.Fleet))
 	for i := range e.taxis {
 		initial[i] = e.taxis[i].batt.EnergyKWh()

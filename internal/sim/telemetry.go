@@ -25,17 +25,41 @@ type simTel struct {
 	chargeMin      *telemetry.Histogram
 }
 
+// phaseTel holds the engine's per-phase wall-clock timers. They answer
+// "where does a Step spend its time" — begin-slot apply, the serial
+// route-migrants barriers, demand generation and matching, the per-minute
+// sweeps, and end-of-slot drain. Like every Timer these are wall-clock and
+// excluded from determinism comparisons; nil handles no-op, so an engine
+// without telemetry never reads the clock.
+type phaseTel struct {
+	begin, route, gen, minute, end *telemetry.Timer
+}
+
 // SetTelemetry installs (or, with nil, removes) a metrics registry. Like
 // hooks and the recorder it persists across Reset, so one registry observes
-// every episode run on this environment. Telemetry is strictly write-only
-// from the simulation's perspective: nothing in the environment reads a
-// counter back, so enabling it cannot perturb the trajectory or RNG streams.
-func (e *Env) SetTelemetry(r *telemetry.Registry) { e.tel = newSimTel(r) }
+// every episode run on this engine. Telemetry is strictly write-only from
+// the simulation's perspective: nothing in the engine reads a counter back,
+// so enabling it cannot perturb the trajectory or RNG streams. Counters and
+// histograms are atomic, so kernels write them concurrently; every count is
+// a pure function of the trajectory and therefore identical at any shard
+// count.
+func (c *Core) SetTelemetry(r *telemetry.Registry) {
+	c.tel = newSimTel(r)
+	if r == nil {
+		c.ptel = phaseTel{}
+		return
+	}
+	c.ptel = phaseTel{
+		begin:  r.Timer("shard.phase.begin_slot_apply"),
+		route:  r.Timer("shard.phase.route_migrants"),
+		gen:    r.Timer("shard.phase.generate_and_match"),
+		minute: r.Timer("shard.phase.run_minute"),
+		end:    r.Timer("shard.phase.end_slot"),
+	}
+}
 
 // newSimTel resolves the simulation's handles against a registry (nil
-// registry yields all-nil handles, which no-op). Both engines — the
-// sequential Env and the sharded Core — use the same handle set, so their
-// deterministic counters are directly comparable.
+// registry yields all-nil handles, which no-op).
 func newSimTel(r *telemetry.Registry) simTel {
 	if r == nil {
 		return simTel{}

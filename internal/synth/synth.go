@@ -85,7 +85,7 @@ func FullScaleConfig(seed int64) Config {
 
 // MegaScaleConfig returns a 10× extrapolation of the paper's fleet over the
 // same region inventory — the `-benchscale=mega` tier that exists to show
-// the sharded engine's event-calendar scaling headroom beyond the paper
+// the engine's event-calendar scaling headroom beyond the paper
 // (the report bundle is never run at this size, only engine stepping).
 func MegaScaleConfig(seed int64) Config {
 	return Config{
