@@ -13,9 +13,9 @@ GO ?= go
 COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/shard/ ./internal/invariant/ ./internal/serve/
 COVER_FLOOR = 70
 
-.PHONY: ci vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench perfbench-check
+.PHONY: ci vet build test race cover alloc-gate fma-check smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench perfbench-check
 
-ci: vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery perfbench-check
+ci: vet build test race cover alloc-gate fma-check smoke resume-smoke shard-smoke serve-smoke battery perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +59,25 @@ ifeq ($(UPDATE),1)
 else
 	$(GO) test -run TestAllocGate .
 endif
+
+# Cross-platform bit-identity of internal/nn: its float32 kernels promise
+# the same bits on every target, which holds only while no multiply-add is
+# fused into one FMA instruction (amd64 never fuses; arm64 does unless the
+# product is rounded explicitly, e.g. float32(a*b)). Compile the package for
+# arm64 with the assembly listing and fail on any fused op whose source line
+# is in internal/nn. go replays a cached compile's listing, and the check
+# also requires the listing to contain a known function, so it cannot pass
+# on an empty listing.
+FMA_RE = internal/nn/[^)]*\)\s+F(N)?M(ADD|SUB)[SD]\s
+
+fma-check:
+	@listing=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1) || { echo "$$listing"; exit 1; }; \
+	echo "$$listing" | grep -q 'internal/nn.gemmNTScalar STEXT' || \
+		{ echo "fma-check: no arm64 assembly listing for internal/nn"; exit 1; }; \
+	if echo "$$listing" | grep -E '$(FMA_RE)'; then \
+		echo "fma-check: fused multiply-add in internal/nn (lines above); round the product explicitly"; exit 1; \
+	fi; \
+	echo "fma-check: no fused multiply-add in internal/nn (arm64)"
 
 # The benchmark in perfbench/ is its own module (repro/perfbench, which
 # requires this one through a replace), so ./... never builds it: vet and

@@ -115,7 +115,9 @@ type FairMove struct {
 	upAdvs         []float64
 	upProbs        []float64
 
-	// Act scratch, reused call to call (same pattern as DQN).
+	// Decision scratch, reused slot to slot by Act and the training
+	// rollout: the slot's observations, their feature rows, and the
+	// softmax buffer of sample.
 	actObs   []sim.Observation
 	actRows  [][]float64
 	actProbs []float64
@@ -167,13 +169,30 @@ func (f *FairMove) probs(obs sim.Observation) []float64 {
 	return nn.Softmax(logits, obs.Mask[:])
 }
 
-// choose samples an action from the stochastic policy. Execution stays
-// stochastic at evaluation time too: agents in the same region share an
-// observation, so a deterministic argmax would send them all to the same
-// station or neighbor (herding), while sampling from π disperses them — the
-// intended behavior of executing a learned stochastic policy.
-func (f *FairMove) choose(obs sim.Observation) int {
-	return f.src.WeightedChoice(f.probs(obs))
+// slotLogits evaluates the shared actor on every observation of a slot in
+// one batched pass sharded across workers (inference only reads the
+// weights). The rows alias the actor's inference arena and stay valid until
+// its next inference call.
+func (f *FairMove) slotLogits(obs []sim.Observation) [][]float32 {
+	rows := f.actRows[:0]
+	for i := range obs {
+		rows = append(rows, obs[i].Features)
+	}
+	f.actRows = rows
+	return f.actor.ForwardRows(rows, f.cfg.Workers)
+}
+
+// sample draws an action from the masked softmax of one row of actor
+// logits. Execution stays stochastic at evaluation time too: agents in the
+// same region share an observation, so a deterministic argmax would send
+// them all to the same station or neighbor (herding), while sampling from π
+// disperses them — the intended behavior of executing a learned stochastic
+// policy.
+func (f *FairMove) sample(logits []float32, mask *[sim.NumActions]bool) int {
+	if f.actProbs == nil {
+		f.actProbs = make([]float64, sim.NumActions)
+	}
+	return f.src.WeightedChoice(nn.SoftmaxInto(logits, mask[:], f.actProbs))
 }
 
 // Act implements policy.Policy: centralized training, decentralized
@@ -182,28 +201,20 @@ func (f *FairMove) choose(obs sim.Observation) int {
 // The slot is processed in three phases so the fleet-wide forward pass can
 // use every core without giving up determinism: observations are collected
 // serially (Observe refreshes per-slot environment caches, so Env stays
-// single-writer), the shared actor evaluates all rows sharded across
-// workers (inference only reads the weights), and sampling consumes f.src
-// serially in vacant order — the same rng draw sequence as a per-taxi loop.
+// single-writer), the shared actor evaluates all rows in one batched pass,
+// and sampling consumes f.src serially in vacant order — the same rng draw
+// sequence as a per-taxi loop. Training rollouts run the same two steps
+// through RunEpisode's slot hook.
 func (f *FairMove) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	actions := make(map[int]sim.Action, len(vacant))
-	if cap(f.actObs) < len(vacant) {
-		f.actObs = make([]sim.Observation, len(vacant))
-		f.actRows = make([][]float64, len(vacant))
+	obs := f.actObs[:0]
+	for _, id := range vacant {
+		obs = append(obs, env.Observe(id))
 	}
-	obs := f.actObs[:len(vacant)]
-	rows := f.actRows[:len(vacant)]
+	f.actObs = obs
+	logits := f.slotLogits(obs)
 	for i, id := range vacant {
-		obs[i] = env.Observe(id)
-		rows[i] = obs[i].Features
-	}
-	logits := f.actor.ForwardRows(rows, f.cfg.Workers)
-	if f.actProbs == nil {
-		f.actProbs = make([]float64, sim.NumActions)
-	}
-	for i, id := range vacant {
-		probs := nn.SoftmaxInto(logits[i], obs[i].Mask[:], f.actProbs)
-		actions[id] = sim.ActionFromIndex(f.src.WeightedChoice(probs))
+		actions[id] = sim.ActionFromIndex(f.sample(logits[i], &obs[i].Mask))
 	}
 	return actions
 }
@@ -259,9 +270,15 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 		// Lines 3-7 of Algorithm 1: roll out the joint policy, storing the
 		// transitions of all active e-taxis.
 		var buf []policy.Transition
+		var logits [][]float32
+		next := 0
 		stopEp := f.tel.EpisodeTime.Start()
 		mean := policy.RunEpisode(env,
-			func(id int, obs sim.Observation) int { return f.choose(obs) },
+			func(obs []sim.Observation) { logits, next = f.slotLogits(obs), 0 },
+			func(_ int, obs sim.Observation) int {
+				next++
+				return f.sample(logits[next-1], &obs.Mask)
+			},
 			f.cfg.Alpha, f.cfg.Gamma,
 			func(id int, tr policy.Transition) { buf = append(buf, tr.Detach()) },
 		)

@@ -40,7 +40,7 @@ func TestRewardTelescopesToEpisodeObjective(t *testing.T) {
 		// Pass 1: RunEpisode accumulates each taxi's transition rewards.
 		env := sim.New(city, opts, 1, seed)
 		got := make(map[int]float64)
-		policy.RunEpisode(env,
+		policy.RunEpisode(env, nil,
 			func(id int, obs sim.Observation) int { return firstValid(obs.Mask) },
 			alpha, 1.0,
 			func(id int, tr policy.Transition) { got[id] += tr.Reward },

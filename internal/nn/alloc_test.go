@@ -22,7 +22,7 @@ func refForward1(m *MLP, x []float64) []float32 {
 			w := l.W.Row(j)
 			var s float32
 			for k := range in {
-				s += in[k] * w[k]
+				s += float32(in[k] * w[k])
 			}
 			out[j] = l.Act.apply(s + l.B[j])
 		}

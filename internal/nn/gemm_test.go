@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -17,7 +18,7 @@ func refGemmNT(m, n, k int, a, b []float32) []float32 {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a[i*k+p] * b[j*k+p]
+				s += float32(a[i*k+p] * b[j*k+p])
 			}
 			c[i*n+j] = s
 		}
@@ -68,36 +69,80 @@ func TestGemmBlockedMatchesNaive(t *testing.T) {
 }
 
 // TestGemmPanelMatchesScalar pins the dispatcher's bit-identity promise
-// directly: the SSE panel path and the portable scalar path must agree
-// exactly on every shape both can handle, including ragged row/col tails and
-// the k = gemmPanelK boundary. On targets without the assembly kernel the
-// dispatcher is scalar-only and the test is vacuous, so it skips.
+// directly: each vectorized panel path and the portable scalar path must
+// agree exactly on every shape the panel path handles. The SSE 4×4 path
+// takes m, n ≥ 4 and sends tails to the scalar kernel; the AVX2 4×8 path
+// takes every m ≥ 4 and zero-pads its tails, so its shapes cover every
+// n%8 and m%4 remainder, n < 4, k = 1, k = gemmPanelK and the CMA2C
+// training shapes. Operands and output use strides wider than the
+// logical shape, and the padding columns of C must come back untouched. A
+// path the CPU (or target) lacks skips.
 func TestGemmPanelMatchesScalar(t *testing.T) {
-	if !haveGemmKernel {
-		t.Skip("no assembly kernel on this target")
+	type shape struct{ m, n, k int }
+	type panelPath struct {
+		name   string
+		ok     bool
+		minN   int
+		run    func(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)
+		shapes []shape
 	}
 	src := rng.New(53)
-	type shape struct{ m, n, k int }
-	shapes := []shape{
+	sse := []shape{
 		{4, 4, 1}, {4, 4, 64}, {5, 6, 7}, {7, 9, 13}, {64, 64, 64},
 		{64, 14, 55}, {256, 64, 55}, {6, 5, 256},
 	}
-	for trial := 0; trial < 30; trial++ {
-		shapes = append(shapes, shape{4 + src.Intn(40), 4 + src.Intn(40), 1 + src.Intn(80)})
+	var avx2 []shape
+	for r := 1; r <= 7; r++ { // n%8 = 1..7, with and without full panels
+		avx2 = append(avx2, shape{4, r, 5}, shape{8, 8 + r, 9}, shape{12, 16 + r, 3})
 	}
-	for _, s := range shapes {
-		a := randMat(src, s.m, s.k)
-		b := randMat(src, s.n, s.k)
-		panel := make([]float32, s.m*s.n)
-		scalar := make([]float32, s.m*s.n)
-		gemmNTPanel(s.m, s.n, s.k, a.Data, s.k, b.Data, s.k, panel, s.n)
-		gemmNTScalar(s.m, s.n, s.k, a.Data, s.k, b.Data, s.k, scalar, s.n)
-		for i := range scalar {
-			if panel[i] != scalar[i] {
-				t.Fatalf("shape %dx%dx%d: panel[%d]=%v scalar[%d]=%v (must be bit-identical)",
-					s.m, s.n, s.k, i, panel[i], i, scalar[i])
+	for r := 1; r <= 3; r++ { // m%4 = 1..3, with full and ragged panels
+		avx2 = append(avx2, shape{4 + r, 8, 6}, shape{8 + r, 13, 11}, shape{4 + r, 3, 2})
+	}
+	avx2 = append(avx2,
+		shape{4, 1, 1}, shape{5, 2, 1}, shape{9, 8, 1}, shape{6, 3, 7}, // n < 4, k = 1
+		shape{4, 8, gemmPanelK}, shape{7, 11, gemmPanelK}, shape{5, 1, gemmPanelK},
+		// CMA2C training: forward (batch × out × in), dL/dW (out × in × batch)
+		// and dL/dx (batch × in × out) of the 55→64→64→{14,1} networks.
+		shape{64, 64, 55}, shape{64, 64, 64}, shape{64, 14, 64}, shape{64, 1, 64},
+		shape{64, 55, 64}, shape{14, 64, 64}, shape{64, 64, 14}, shape{64, 64, 1},
+		shape{300, 14, 64}, shape{257, 64, 55},
+	)
+	for trial := 0; trial < 30; trial++ {
+		sse = append(sse, shape{4 + src.Intn(40), 4 + src.Intn(40), 1 + src.Intn(80)})
+		avx2 = append(avx2, shape{4 + src.Intn(40), 1 + src.Intn(40), 1 + src.Intn(80)})
+	}
+	paths := []panelPath{
+		{"sse-4x4", haveGemmKernel, 4, gemmNTPanel, sse},
+		{"avx2-4x8", haveAVX2, 1, gemmNTPanel8, avx2},
+	}
+	const sentinel = float32(-12345.5)
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			if !p.ok {
+				t.Skip("kernel not available on this CPU or target")
 			}
-		}
+			for _, s := range p.shapes {
+				if s.m < 4 || s.n < p.minN || s.k > gemmPanelK {
+					t.Fatalf("shape %dx%dx%d is not a %s shape", s.m, s.n, s.k, p.name)
+				}
+				lda, ldb, ldc := s.k+3, s.k+1, s.n+5
+				a := randMat(src, s.m, lda)
+				b := randMat(src, s.n, ldb)
+				panel := make([]float32, s.m*ldc)
+				scalar := make([]float32, s.m*ldc)
+				for i := range panel {
+					panel[i], scalar[i] = sentinel, sentinel
+				}
+				p.run(s.m, s.n, s.k, a.Data, lda, b.Data, ldb, panel, ldc)
+				gemmNTScalar(s.m, s.n, s.k, a.Data, lda, b.Data, ldb, scalar, ldc)
+				for i := range scalar {
+					if math.Float32bits(panel[i]) != math.Float32bits(scalar[i]) {
+						t.Fatalf("shape %dx%dx%d: %s[%d]=%v scalar[%d]=%v (must be bit-identical; padding must stay %v)",
+							s.m, s.n, s.k, p.name, i, panel[i], i, scalar[i], sentinel)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -117,7 +162,7 @@ func TestMatMulVariantsMatchNaive(t *testing.T) {
 			for j := 0; j < n; j++ {
 				var s float32
 				for p := 0; p < k; p++ {
-					s += a.Data[i*k+p] * b.Data[p*n+j]
+					s += float32(a.Data[i*k+p] * b.Data[p*n+j])
 				}
 				if got.Data[i*n+j] != s {
 					t.Fatalf("MatMul %dx%dx%d at (%d,%d): %v != %v", m, k, n, i, j, got.Data[i*n+j], s)
@@ -131,7 +176,7 @@ func TestMatMulVariantsMatchNaive(t *testing.T) {
 			for j := 0; j < n; j++ {
 				var s float32
 				for p := 0; p < k; p++ {
-					s += at.Data[p*m+i] * b.Data[p*n+j]
+					s += float32(at.Data[p*m+i] * b.Data[p*n+j])
 				}
 				if got.Data[i*n+j] != s {
 					t.Fatalf("MatMulTransA %dx%dx%d at (%d,%d): %v != %v", m, k, n, i, j, got.Data[i*n+j], s)

@@ -21,7 +21,7 @@ func MSELossInto(pred, target, grad *Mat) (float64, *Mat) {
 	n := float64(len(pred.Data))
 	for i := range pred.Data {
 		d := float64(pred.Data[i]) - float64(target.Data[i])
-		loss += d * d
+		loss += float64(d * d)
 		grad.Data[i] = float32(2 * d / n)
 	}
 	return loss / n, grad
@@ -98,7 +98,7 @@ func PolicyGradientRowInto(logits []float32, mask []bool, action int, advantage,
 	if entCoef != 0 {
 		for _, p := range probs {
 			if p > 0 {
-				ent -= p * math.Log(p)
+				ent -= float64(p * math.Log(p))
 			}
 		}
 	}
@@ -113,10 +113,10 @@ func PolicyGradientRowInto(logits []float32, mask []bool, action int, advantage,
 		if i == action {
 			g -= 1
 		}
-		g *= advantage
+		g = float64(g * advantage)
 		// dH/dl_i = -p_i (log p_i + H); the bonus contributes -entCoef · dH.
 		if entCoef != 0 && p > 0 {
-			g += entCoef * p * (math.Log(p) + ent)
+			g += float64(entCoef * p * (math.Log(p) + ent))
 		}
 		grad[i] = float32(scale * g)
 	}
@@ -136,7 +136,7 @@ func Entropy(probs []float64) float64 {
 	var h float64
 	for _, p := range probs {
 		if p > 0 {
-			h -= p * math.Log(p)
+			h -= float64(p * math.Log(p))
 		}
 	}
 	return h
@@ -150,7 +150,7 @@ func ClipGrads(grads [][]float32, maxNorm float64) float64 {
 	var sq float64
 	for _, g := range grads {
 		for _, v := range g {
-			sq += float64(v) * float64(v)
+			sq += float64(float64(v) * float64(v))
 		}
 	}
 	norm := math.Sqrt(sq)

@@ -55,7 +55,7 @@ func (a Activation) derivFromOut(out float32) float32 {
 		}
 		return 0
 	case Tanh:
-		return 1 - out*out
+		return 1 - float32(out*out)
 	default:
 		return 1
 	}
@@ -63,7 +63,9 @@ func (a Activation) derivFromOut(out float32) float32 {
 
 // applyBiasAct is the fused GEMM epilogue: row = σ(row + b). The activation
 // switch is hoisted out of the element loop and row is resliced to the bias
-// length so the loops are bounds-check free.
+// length so the loops are bounds-check free. Under AVX2 the Tanh epilogue
+// runs eight lanes at a time (tanhF32BiasAVX2, bit-identical to tanhF32)
+// and tanhF32 handles the len%8 tail.
 func applyBiasAct(row, b []float32, act Activation) {
 	row = row[:len(b)]
 	switch act {
@@ -76,8 +78,15 @@ func applyBiasAct(row, b []float32, act Activation) {
 			row[c] = v
 		}
 	case Tanh:
-		for c, bv := range b {
-			row[c] = tanhF32(row[c] + bv)
+		n8 := 0
+		if haveAVX2 {
+			n8 = len(b) &^ 7
+			if n8 > 0 {
+				tanhF32BiasAVX2(&row[0], &b[0], n8, &tanhF32Lanes)
+			}
+		}
+		for c := n8; c < len(b); c++ {
+			row[c] = tanhF32(row[c] + b[c])
 		}
 	default:
 		for c, bv := range b {
@@ -198,7 +207,7 @@ func (d *Dense) Backward(gradOut *Mat) *Mat {
 			orow := d.lastOut.Row(r)
 			orow = orow[:len(grow)]
 			for c := range grow {
-				grow[c] *= 1 - orow[c]*orow[c]
+				grow[c] *= 1 - float32(orow[c]*orow[c])
 			}
 		}
 	}
@@ -365,10 +374,10 @@ func (m *MLP) SoftUpdateFrom(src *MLP, tau float64) {
 	for i, l := range m.Layers {
 		s := src.Layers[i]
 		for j := range l.W.Data {
-			l.W.Data[j] = (1-t)*l.W.Data[j] + t*s.W.Data[j]
+			l.W.Data[j] = float32((1-t)*l.W.Data[j]) + float32(t*s.W.Data[j])
 		}
 		for j := range l.B {
-			l.B[j] = (1-t)*l.B[j] + t*s.B[j]
+			l.B[j] = float32((1-t)*l.B[j]) + float32(t*s.B[j])
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (o *SGD) Step(net *MLP) {
 		g := grads[i]
 		v := o.velocity[i]
 		for j := range p {
-			v[j] = mom*v[j] - lr*g[j]
+			v[j] = float32(mom*v[j]) - float32(lr*g[j])
 			p[j] += v[j]
 		}
 	}
@@ -94,8 +94,8 @@ func (o *Adam) Step(net *MLP) {
 		v = v[:len(p)]
 		for j := range p {
 			gj := g[j]
-			mj := b1*m[j] + omb1*gj
-			vj := b2*v[j] + omb2*gj*gj
+			mj := float32(b1*m[j]) + float32(omb1*gj)
+			vj := float32(b2*v[j]) + float32(omb2*gj*gj)
 			m[j], v[j] = mj, vj
 			p[j] -= alphaT * mj / (float32(math.Sqrt(float64(vj))) + epsHat)
 		}

@@ -1,51 +1,77 @@
 package nn
 
+// Constants of tanhF32, shared by the scalar function and the AVX2 epilogue
+// (through tanhF32Lanes) so both round them to the same float32 bits.
+const (
+	// Beyond ±~7.9 the float32 result is exactly ±1; clamping also keeps
+	// the polynomials in their fitted range.
+	tanhClamp = 7.90531110763549805
+
+	tanhA1  = 4.89352455891786e-03
+	tanhA3  = 6.37261928875436e-04
+	tanhA5  = 1.48572235717979e-05
+	tanhA7  = 5.12229709037114e-08
+	tanhA9  = -8.60467152213735e-11
+	tanhA11 = 2.00018790482477e-13
+	tanhA13 = -2.76076847742355e-16
+
+	tanhB0 = 4.89352518554385e-03
+	tanhB2 = 2.26843463243900e-03
+	tanhB4 = 1.18534705686654e-04
+	tanhB6 = 1.19825839466702e-06
+)
+
 // tanhF32 is a float32 rational approximation of tanh, accurate to ~1 ulp of
 // float32 over the whole line (the classic 13/6-degree ratio of odd/even
 // polynomials used by vectorized math libraries). The float64 math.Tanh it
 // replaces cost two conversions plus a float64 exp per element and dominated
 // the training-step profile (~37% of CPU); this version is a handful of
-// float32 multiply-adds.
+// float32 multiplies and adds.
 //
-// Determinism: pure float32 arithmetic in a fixed order — the same inputs
-// always produce the same bits on every platform, exactly like the GEMM
-// kernels. It does NOT produce the same bits as float32(math.Tanh(float64)),
-// which is why switching to it was a golden-fixture bump.
+// Determinism: pure float32 arithmetic in a fixed order, every product
+// rounded explicitly (float32(p*x2)) so no compiler fuses a multiply-add —
+// the same inputs produce the same bits on every platform, exactly like the
+// GEMM kernels, and tanhF32BiasAVX2 reproduces them eight lanes at a time.
+// It does NOT produce the same bits as float32(math.Tanh(float64)), which
+// is why switching to it was a golden-fixture bump.
 func tanhF32(x float32) float32 {
-	// Beyond ±~7.9 the float32 result is exactly ±1; clamping also keeps the
-	// polynomials in their fitted range.
-	const clamp = 7.90531110763549805
-	if x > clamp {
-		x = clamp
-	} else if x < -clamp {
-		x = -clamp
+	if x > tanhClamp {
+		x = tanhClamp
+	} else if x < -tanhClamp {
+		x = -tanhClamp
 	}
-	const (
-		a1  = 4.89352455891786e-03
-		a3  = 6.37261928875436e-04
-		a5  = 1.48572235717979e-05
-		a7  = 5.12229709037114e-08
-		a9  = -8.60467152213735e-11
-		a11 = 2.00018790482477e-13
-		a13 = -2.76076847742355e-16
-
-		b0 = 4.89352518554385e-03
-		b2 = 2.26843463243900e-03
-		b4 = 1.18534705686654e-04
-		b6 = 1.19825839466702e-06
-	)
 	x2 := x * x
-	p := float32(a13)
-	p = p*x2 + a11
-	p = p*x2 + a9
-	p = p*x2 + a7
-	p = p*x2 + a5
-	p = p*x2 + a3
-	p = p*x2 + a1
+	p := float32(tanhA13)
+	p = float32(p*x2) + tanhA11
+	p = float32(p*x2) + tanhA9
+	p = float32(p*x2) + tanhA7
+	p = float32(p*x2) + tanhA5
+	p = float32(p*x2) + tanhA3
+	p = float32(p*x2) + tanhA1
 	p *= x
-	q := float32(b6)
-	q = q*x2 + b4
-	q = q*x2 + b2
-	q = q*x2 + b0
+	q := float32(tanhB6)
+	q = float32(q*x2) + tanhB4
+	q = float32(q*x2) + tanhB2
+	q = float32(q*x2) + tanhB0
 	return p / q
 }
+
+// tanhF32NumConsts is the number of rows of tanhF32Lanes.
+const tanhF32NumConsts = 13
+
+// tanhF32Lanes holds tanhF32's constants, each broadcast to eight float32
+// lanes, in the row order tanhF32BiasAVX2 reads them: clamp, -clamp, the
+// numerator coefficients a13…a1, the denominator coefficients b6…b0.
+var tanhF32Lanes = func() (lanes [tanhF32NumConsts][8]float32) {
+	consts := [tanhF32NumConsts]float32{
+		tanhClamp, -tanhClamp,
+		tanhA13, tanhA11, tanhA9, tanhA7, tanhA5, tanhA3, tanhA1,
+		tanhB6, tanhB4, tanhB2, tanhB0,
+	}
+	for i, v := range consts {
+		for l := range lanes[i] {
+			lanes[i][l] = v
+		}
+	}
+	return lanes
+}()

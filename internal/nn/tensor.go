@@ -11,6 +11,13 @@
 // Scalar entry points (At/Set/SetRow, losses, the softmax helpers) keep a
 // float64 boundary so consumers hand simulation features straight in; the
 // storage and the kernels are float32.
+//
+// Every product that feeds an addition is rounded explicitly, as in
+// `s += float32(a*b)` or `float64(p * math.Log(p))`. Without the conversion
+// the compiler may fuse the multiply-add into one FMA instruction on
+// targets such as arm64, which rounds once instead of twice and gives
+// different bits than amd64. `make fma-check` fails on any fused
+// instruction compiled from this package.
 package nn
 
 import "fmt"

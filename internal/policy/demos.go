@@ -64,9 +64,7 @@ func CollectDemosFrom(shards int, city *synth.City, guide Policy, from, episodes
 		env := sim.New(city, sim.DefaultOptions(days), shards, epSeed)
 		g.BeginEpisode(epSeed)
 		var buf []Transition
-		chooser := PolicyChooser(env, g)
-		RunEpisode(env,
-			func(id int, obs sim.Observation) int { return chooser(id, obs) },
+		RunEpisode(env, nil, PolicyChooser(env, g),
 			alpha, gamma,
 			func(id int, tr Transition) { buf = append(buf, tr.Detach()) },
 		)

@@ -378,7 +378,10 @@ func (d *DQN) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		learnEvery := 4
 		nSeen := 0
 		stopEp := d.tel.EpisodeTime.Start()
-		mean := RunEpisode(env,
+		// No slot hook: learn() runs inside onTransition between two taxis'
+		// choices and moves the Q-network, so each choice must see the
+		// network as it is at that taxi — one Forward1 per decision.
+		mean := RunEpisode(env, nil,
 			func(id int, obs sim.Observation) int { return d.choose(obs) },
 			d.Alpha, d.Gamma,
 			func(id int, tr Transition) {

@@ -74,16 +74,31 @@ func (tr Transition) Detach() Transition {
 // Chooser selects a flattened action index given a taxi's observation.
 type Chooser func(id int, obs sim.Observation) int
 
+// SlotHook is RunEpisode's per-slot hook: it receives the observations of
+// the slot's vacant taxis, in vacant order and valid until the next slot,
+// before any of them is chosen for. A learner uses it to evaluate its
+// shared network on the whole slot in one batched pass; its Chooser is then
+// called once per vacant taxi, in the same order, so it can consume the
+// batch row by row.
+type SlotHook func(obs []sim.Observation)
+
 // RunEpisode drives env to completion, choosing actions with choose,
 // accumulating Eq. 5 rewards with the given alpha and gamma, and invoking
 // onTransition for every closed semi-MDP transition. It returns the mean
 // per-decision reward (the "average reward r" of Table IV).
 //
+// Each slot observes every vacant taxi first, calls prepare (nil skips it)
+// with the observations, then visits the taxis in vacant order: close the
+// taxi's previous transition, then choose its action. Observing is
+// read-only with respect to decisions — a taxi's observation does not
+// depend on what another taxi chose in the same slot — so observing up
+// front changes no trajectory.
+//
 // A transition opens when a vacant taxi acts and closes at that taxi's next
 // decision (or at the horizon, marked Terminal). Rewards earned in the
 // intervening slots — fares collected, charging costs paid, and the fleet
 // fairness term — are discounted by gamma per slot.
-func RunEpisode(env sim.Environment, choose Chooser, alpha, gamma float64, onTransition func(id int, tr Transition)) (meanReward float64) {
+func RunEpisode(env sim.Environment, prepare SlotHook, choose Chooser, alpha, gamma float64, onTransition func(id int, tr Transition)) (meanReward float64) {
 	type pending struct {
 		// feats is a pend-owned copy of the opening observation's features:
 		// Observation.Features borrows an env buffer the same taxi's next
@@ -103,11 +118,19 @@ func RunEpisode(env sim.Environment, choose Chooser, alpha, gamma float64, onTra
 	_, pfPrev := env.FleetPEStats()
 
 	actions := make(map[int]sim.Action)
+	var slotObs []sim.Observation
 	for !env.Done() {
 		vacant := env.VacantTaxis()
 		clear(actions)
+		slotObs = slotObs[:0]
 		for _, id := range vacant {
-			obs := env.Observe(id)
+			slotObs = append(slotObs, env.Observe(id))
+		}
+		if prepare != nil {
+			prepare(slotObs)
+		}
+		for i, id := range vacant {
+			obs := slotObs[i]
 			// Close the previous transition at this new decision point.
 			if pend[id].open && onTransition != nil {
 				onTransition(id, Transition{

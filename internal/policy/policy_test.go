@@ -180,8 +180,9 @@ func TestTBASamplesValidActions(t *testing.T) {
 	obs := sim.Observation{Features: make([]float64, sim.FeatureSize)}
 	obs.Mask[0] = true
 	obs.Mask[5] = true
+	logits := tba.net.Forward1(obs.Features)
 	for i := 0; i < 100; i++ {
-		a := tba.sample(obs)
+		a := tba.sample(logits, &obs.Mask)
 		if a != 0 && a != 5 {
 			t.Fatalf("sampled masked action %d", a)
 		}
@@ -207,7 +208,7 @@ func TestRunEpisodeTransitionsWellFormed(t *testing.T) {
 	env := sim.New(city, sim.DefaultOptions(1), 1, 11)
 	env.Reset(11)
 	var n, terminals int
-	mean := RunEpisode(env,
+	mean := RunEpisode(env, nil,
 		func(id int, obs sim.Observation) int {
 			// Always choose the first valid action.
 			for i, ok := range obs.Mask {

@@ -41,6 +41,11 @@ type TBA struct {
 	bcAdvs  []float64
 	bcIdx   []int
 
+	// Decision scratch, reused slot to slot by Act and the training
+	// rollout: the slot's observations and their feature rows.
+	actObs  []sim.Observation
+	actRows [][]float64
+
 	// running return baseline
 	baseline float64
 	baseN    int
@@ -87,12 +92,27 @@ func (t *TBA) Name() string { return "TBA" }
 // BeginEpisode implements Policy.
 func (t *TBA) BeginEpisode(seed int64) { t.src = rng.SplitStable(seed, "tba") }
 
-// sample draws an action from the masked softmax policy. Sampling is used
-// at evaluation time too: identical agents sharing an observation disperse
-// naturally under a stochastic policy, where an argmax would herd them.
-func (t *TBA) sample(obs sim.Observation) int {
-	logits := t.net.Forward1(obs.Features)
-	return t.src.WeightedChoice(nn.Softmax(logits, obs.Mask[:]))
+// slotLogits evaluates the shared actor on every observation of a slot in
+// one batched pass sharded across Workers. The rows alias the network's
+// inference arena and stay valid until its next inference call.
+func (t *TBA) slotLogits(obs []sim.Observation) [][]float32 {
+	rows := t.actRows[:0]
+	for i := range obs {
+		rows = append(rows, obs[i].Features)
+	}
+	t.actRows = rows
+	return t.net.ForwardRows(rows, t.Workers)
+}
+
+// sample draws an action from the masked softmax of one row of actor
+// logits. Sampling is used at evaluation time too: identical agents sharing
+// an observation disperse naturally under a stochastic policy, where an
+// argmax would herd them.
+func (t *TBA) sample(logits []float32, mask *[sim.NumActions]bool) int {
+	if t.bcProbs == nil {
+		t.bcProbs = make([]float64, sim.NumActions)
+	}
+	return t.src.WeightedChoice(nn.SoftmaxInto(logits, mask[:], t.bcProbs))
 }
 
 // Act implements Policy. Observations are collected serially (Observe
@@ -102,19 +122,14 @@ func (t *TBA) sample(obs sim.Observation) int {
 // any worker count.
 func (t *TBA) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	actions := make(map[int]sim.Action, len(vacant))
-	obs := make([]sim.Observation, len(vacant))
-	rows := make([][]float64, len(vacant))
-	for i, id := range vacant {
-		obs[i] = env.Observe(id)
-		rows[i] = obs[i].Features
+	obs := t.actObs[:0]
+	for _, id := range vacant {
+		obs = append(obs, env.Observe(id))
 	}
-	logits := t.net.ForwardRows(rows, t.Workers)
-	if t.bcProbs == nil {
-		t.bcProbs = make([]float64, sim.NumActions)
-	}
+	t.actObs = obs
+	logits := t.slotLogits(obs)
 	for i, id := range vacant {
-		probs := nn.SoftmaxInto(logits[i], obs[i].Mask[:], t.bcProbs)
-		actions[id] = sim.ActionFromIndex(t.src.WeightedChoice(probs))
+		actions[id] = sim.ActionFromIndex(t.sample(logits[i], &obs[i].Mask))
 	}
 	return actions
 }
@@ -221,9 +236,15 @@ func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		t.exploring = true
 
 		var batch []Transition
+		var logits [][]float32
+		next := 0
 		stopEp := t.tel.EpisodeTime.Start()
 		mean := RunEpisode(env,
-			func(id int, obs sim.Observation) int { return t.sample(obs) },
+			func(obs []sim.Observation) { logits, next = t.slotLogits(obs), 0 },
+			func(_ int, obs sim.Observation) int {
+				next++
+				return t.sample(logits[next-1], &obs.Mask)
+			},
 			1.0, // selfish: no fairness term
 			t.Gamma,
 			func(id int, tr Transition) { batch = append(batch, tr.Detach()) },

@@ -182,7 +182,7 @@ func (t *TQL) PretrainCheckpointed(city *synth.City, guide Policy, episodes, day
 		}
 		pend := make(map[int]open)
 		chooser := PolicyChooser(env, guide)
-		RunEpisode(env,
+		RunEpisode(env, nil,
 			func(id int, obs sim.Observation) int {
 				idx := chooser(id, obs)
 				pend[id] = open{st: t.stateOf(env, id), act: idx}
@@ -241,7 +241,7 @@ func (t *TQL) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		pend := make(map[int]open)
 
 		stopEp := t.tel.EpisodeTime.Start()
-		mean := RunEpisode(env,
+		mean := RunEpisode(env, nil,
 			func(id int, obs sim.Observation) int {
 				st := t.stateOf(env, id)
 				idx := t.choose(st, obs.Mask)
